@@ -15,9 +15,9 @@ The pieces, bottom to top:
 from polimage.fields import (FieldMismatchError, FieldSpec, QQ, Scalar,
                              ScalarParseError, parse_scalar, sqrt_in_closure)
 from polimage.freealg import (FreePoly, HomogeneityReport, PolyParseError,
-                              capelli_poly, compose, format_poly, infer_weights,
-                              multilinearize, parse_poly, relabel,
-                              semi_homogeneous_check, standard_poly,
+                              capelli_poly, compile_plan, format_poly,
+                              infer_weights, multilinearize, parse_poly,
+                              run_plan, semi_homogeneous_check, standard_poly,
                               weighted_degree, weighted_parts)
 from polimage.matalg import (ConeClass, ConeKind, INFINITE_RATIO, Mat2,
                              SingularMatrixError, UNDEFINED_RATIO,

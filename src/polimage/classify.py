@@ -366,18 +366,12 @@ def classify_multilinear(p: FreePoly, char: int = 0) -> ImageClass:
     out = ImageClass(verdict, assumptions=_assumptions(char), mode="symbolic")
     out.budget_consumed["unit_tuples"] = len(evals)
     if verdict != Verdict.ZERO:
-        for units, val in evals:
-            if not val.is_zero():
-                out.witnesses.append(_wit("nonzero_value", units, val))
-                break
-        for units, val in evals:
-            if not val.is_scalar():
-                out.witnesses.append(_wit("non_scalar_value", units, val))
-                break
-        for units, val in evals:
-            if not val.trace().is_zero():
-                out.witnesses.append(_wit("nonzero_trace_value", units, val))
-                break
+        for kind, test in (("nonzero_value", _nonzero),
+                           ("non_scalar_value", lambda v: not v.is_scalar()),
+                           ("nonzero_trace_value", lambda v: not v.trace().is_zero())):
+            hit = _first(evals, test)
+            if hit is not None:
+                out.witnesses.append(_wit(kind, *hit))
     out.diagnostics.append(f"span dimension {res.dimension} over {q.field}")
     return out
 
@@ -405,39 +399,19 @@ def _candidate_tuples(m: int, field: FieldSpec, search_budget: int, seed: int):
         yield [random_mat2(field, rng, -9, 9) for _ in range(m)]
 
 
-def _nilpotent_witness(q: FreePoly, search_budget: int, seed: int):
-    """First tuple whose value is nonzero nilpotent, plus tuples scanned."""
-    scanned = 0
+def _witness_scan(q: FreePoly, search_budget: int, seed: int):
+    """Each candidate tuple with its value, in the witness-search order."""
     for mats in _candidate_tuples(q.m, q.field, search_budget, seed):
-        scanned += 1
-        val = eval_on_matrices(q, mats)
-        if not val.is_zero() and val.det().is_zero() and val.trace().is_zero():
-            return mats, val, scanned
-    return None, None, scanned
+        yield mats, eval_on_matrices(q, mats)
 
 
-def _nonzero_witness(q: FreePoly, search_budget: int, seed: int):
-    for mats in _candidate_tuples(q.m, q.field, search_budget, seed):
-        val = eval_on_matrices(q, mats)
-        if not val.is_zero():
-            return mats, val
-    return None, None
+def _first(pairs, test):
+    """The first (arguments, value) pair whose value passes test, or None."""
+    return next(((args, val) for args, val in pairs if test(val)), None)
 
 
-def _distinct_ratio_witnesses(q: FreePoly, search_budget: int, seed: int):
-    """Two evaluations with different eigenvalue-ratio invariants."""
-    seen: dict[str, tuple[list[Mat2], Mat2]] = {}
-    for mats in _candidate_tuples(q.m, q.field, search_budget, seed):
-        val = eval_on_matrices(q, mats)
-        r = ratio_invariant(val)
-        key = ratio_key(r)
-        if key == "undefined":
-            continue
-        if key not in seen:
-            seen[key] = (mats, val)
-        if len(seen) == 2:
-            return list(seen.items())
-    return None
+def _nonzero(val: Mat2) -> bool:
+    return not val.is_zero()
 
 
 def classify_semihomogeneous(p: FreePoly, weights: tuple[int, ...], char: int = 0,
@@ -475,9 +449,9 @@ def classify_semihomogeneous(p: FreePoly, weights: tuple[int, ...], char: int = 
             return out
         if is_central(P):
             out.verdict = Verdict.SCALARS
-            mats, val = _nonzero_witness(q, search_budget, seed)
-            if mats is not None:
-                out.witnesses.append(_wit("nonzero_value", mats, val))
+            hit = _first(_witness_scan(q, search_budget, seed), _nonzero)
+            if hit is not None:
+                out.witnesses.append(_wit("nonzero_value", *hit))
             return out
         if is_trace_zero(P):
             return _trace_zero_branch(out, q, search_budget, seed)
@@ -517,11 +491,15 @@ def classify_semihomogeneous(p: FreePoly, weights: tuple[int, ...], char: int = 
 
 def _trace_zero_branch(out: ImageClass, q: FreePoly, search_budget: int,
                        seed: int) -> ImageClass:
-    mats, val, scanned = _nilpotent_witness(q, search_budget, seed)
+    scanned, hit = 0, None
+    for scanned, (mats, val) in enumerate(_witness_scan(q, search_budget, seed), 1):
+        if not val.is_zero() and val.det().is_zero() and val.trace().is_zero():
+            hit = mats, val
+            break
     out.budget_consumed["witness_tuples"] = scanned
-    if mats is not None:
+    if hit is not None:
         out.verdict = Verdict.SL2
-        out.witnesses.append(_wit("nilpotent_nonzero_value", mats, val))
+        out.witnesses.append(_wit("nilpotent_nonzero_value", *hit))
         return out
     out.verdict = Verdict.TRACE_ZERO_UNDETERMINED
     out.note = ("candidate image: the traceless invertible matrices; "
@@ -539,13 +517,16 @@ def _ratio_branch(out: ImageClass, q: FreePoly, prop, search_budget: int,
         return out
     if not prop.proportional:
         out.verdict = Verdict.DENSE
-        pair = _distinct_ratio_witnesses(q, search_budget, seed)
-        if pair is not None:
-            (k1, (m1, v1)), (k2, (m2, v2)) = pair
-            out.witnesses.append({"kind": "distinct_ratios",
-                                  "first": _wit("value", m1, v1),
-                                  "second": _wit("value", m2, v2),
-                                  "ratios": sorted([k1, k2])})
+        seen: dict[str, dict] = {}
+        for mats, val in _witness_scan(q, search_budget, seed):
+            key = ratio_key(ratio_invariant(val))
+            if key != "undefined" and key not in seen:
+                seen[key] = _wit("value", mats, val)
+                if len(seen) == 2:
+                    (k1, w1), (k2, w2) = seen.items()
+                    out.witnesses.append({"kind": "distinct_ratios", "first": w1,
+                                          "second": w2, "ratios": sorted([k1, k2])})
+                    break
         out.diagnostics.append(
             "tr^2 and det are not proportional; witnesses at exponents "
             + str([list(e) for e in prop.witnesses]))

@@ -97,9 +97,6 @@ def parse_weight_list(chunks: tuple[str, ...], m: int) -> list[tuple[int, ...]]:
 
 
 pretty_option = click.option("--pretty", is_flag=True, help="Indent the JSON output.")
-threads_option = click.option("--threads", type=int, default=1,
-                              envvar="POLIMAGE_THREADS", show_default=True,
-                              help="Worker threads for enumeration partitions.")
 
 
 @click.group()
@@ -155,10 +152,8 @@ def classify(text, nvars, char, mode, weights, trials, seed, prime,
               show_default=True)
 @click.option("--elements-limit", type=int, default=100, show_default=True,
               help="List the image elements when the image is at most this big.")
-@threads_option
 @pretty_option
-def enumerate(text, nvars, order, method, tuple_budget, elements_limit,
-              threads, pretty):
+def enumerate(text, nvars, order, method, tuple_budget, elements_limit, pretty):
     """Exhaustively enumerate the image over M_2(F_q)."""
     t0 = time.monotonic()
     try:
@@ -166,8 +161,7 @@ def enumerate(text, nvars, order, method, tuple_budget, elements_limit,
         if field.char == 0:
             raise ValueError("enumeration needs a finite field")
         p = load_poly(text, nvars)
-        report = enumerate_image(p, field, method, tuple_budget, threads,
-                                 elements_limit)
+        report = enumerate_image(p, field, method, tuple_budget, elements_limit)
     except EnumerationBudgetError as e:
         fail("enumerate", pretty, "tuple_budget", str(e), EXIT_BUDGET)
         return

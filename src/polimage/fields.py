@@ -102,10 +102,6 @@ class FieldSpec:
             raise ValueError("extension degree must be 1 or 2")
 
     @property
-    def is_rational(self) -> bool:
-        return self.char == 0
-
-    @property
     def order(self):
         """Number of elements, or None for Q."""
         return None if self.char == 0 else self.char ** self.degree

@@ -12,6 +12,16 @@ The text format understood by :func:`parse_poly` is
 with '[a,b]' expanding to a*b - b*a and '^k' (k >= 1) to k-fold repetition.
 A bare coefficient is kept as a constant term; downstream classification
 rejects constant terms, the algebra itself allows them.
+
+Every evaluation of a polynomial, in whatever ring, goes through one
+prefix-sharing evaluator.  :func:`compile_plan` turns the terms, in the
+canonical (length, lexicographic) word order, into a plan with one step per
+term: how many leading letters the word keeps from the previous word, the
+letters it appends, and its coefficient.  :func:`run_plan` runs a plan on
+one argument per variable, given the ring's mul, add, scale, zero and one.
+It keeps a stack holding the product of each prefix of the current word,
+so a prefix that consecutive words share is multiplied once, and memory
+stays at one product per letter of the longest word.
 """
 
 from __future__ import annotations
@@ -146,9 +156,6 @@ class FreePoly:
         """Terms in the canonical (length, lexicographic) word order."""
         return sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((), self.field.zero())
-
     def has_constant_term(self) -> bool:
         return () in self.terms
 
@@ -176,6 +183,9 @@ class FreePoly:
                 return self
             out = {}
             for w, c in self.terms.items():
+                if c.val.denominator % field.char == 0:
+                    raise ValueError(f"coefficient {c} has no value in "
+                                     f"characteristic {field.char}")
                 out[w] = field.from_fraction(c.val)
             return FreePoly(self.m, field, out)
         if field.char != self.field.char:
@@ -184,32 +194,65 @@ class FreePoly:
             return FreePoly(self.m, field, {w: Scalar(field, (c.val, 0)) for w, c in self.terms.items()})
         raise ValueError(f"cannot move coefficients from {self.field} to {field}")
 
-    def evaluate(self, args: list):
-        """Evaluate by substituting one object per variable.
-
-        Arguments must support +, * and .scale(Scalar), and the list must
-        supply a value for every variable (the caller picks the ring).
-        Returns None for the zero polynomial; constant terms are rejected
-        since there is no ring unit to attach them to.
-        """
-        if len(args) != self.m:
-            raise ValueError(f"expected {self.m} arguments, got {len(args)}")
-        if self.has_constant_term():
-            raise ValueError("cannot evaluate a constant term without a unit; strip it first")
-        acc = None
-        for w, c in self.sorted_terms():
-            cur = args[w[0] - 1]
-            for i in w[1:]:
-                cur = cur * args[i - 1]
-            cur = cur.scale(c)
-            acc = cur if acc is None else acc + cur
-        return acc
-
     def __str__(self):
         return format_poly(self)
 
     def __repr__(self):
         return f"FreePoly({format_poly(self)!r}, m={self.m}, field={self.field})"
+
+
+# -- evaluation ----------------------------------------------------------------
+
+
+Step = tuple[int, int | None, tuple[int, ...], object]
+
+
+def compile_plan(p: FreePoly) -> list[Step]:
+    """p's terms as evaluation steps (keep, first, rest, coefficient).
+
+    A step keeps the first `keep` letters of the previous word.  With
+    keep = 0 it starts a fresh product at the 0-based variable `first`, or
+    at the ring's one for the empty word (first is None).  It then
+    multiplies on the 0-based variables of `rest` in turn.
+    """
+    plan: list[Step] = []
+    prev: Word = ()
+    for w, c in p.sorted_terms():
+        keep = 0
+        for a, b in zip(prev, w):
+            if a != b:
+                break
+            keep += 1
+        if keep:
+            plan.append((keep, None, tuple(i - 1 for i in w[keep:]), c))
+        else:
+            plan.append((0, w[0] - 1 if w else None, tuple(i - 1 for i in w[1:]), c))
+        prev = w
+    return plan
+
+
+def run_plan(plan: list[Step], args, mul, add, scale, zero, one):
+    """Evaluate a compiled polynomial at args, one per variable.
+
+    Each term contributes scale(coefficient, product); the terms are summed
+    with add, starting from zero, in plan order.
+    """
+    acc = zero
+    stack: list = []
+    for keep, first, rest, coeff in plan:
+        if keep:
+            del stack[keep:]
+            cur = stack[-1]
+        elif first is None:
+            cur = one
+        else:
+            cur = args[first]
+            stack = [cur]
+        for i in rest:
+            cur = mul(cur, args[i])
+            stack.append(cur)
+        acc = add(acc, scale(coeff, cur))
+    return acc
 
 
 # -- text format -------------------------------------------------------------
@@ -560,43 +603,6 @@ def multilinearize(p: FreePoly) -> FreePoly:
             else:
                 out[key] = v
     return FreePoly(total, p.field, out)
-
-
-def compose(p: FreePoly, subs: list[FreePoly]) -> FreePoly:
-    """Substitute a polynomial for each variable of p."""
-    if len(subs) != p.m:
-        raise ValueError(f"expected {p.m} substitutions, got {len(subs)}")
-    if not subs:
-        return p
-    m2, field = subs[0].m, subs[0].field
-    for s in subs:
-        if s.m != m2 or s.field != field:
-            raise ValueError("substitution polynomials disagree on variable count or field")
-    acc = FreePoly.zero(m2, field)
-    for w, c in p.sorted_terms():
-        if not w:
-            acc = acc + FreePoly.constant(c, m2)
-            continue
-        cur = subs[w[0] - 1]
-        for i in w[1:]:
-            cur = cur * subs[i - 1]
-        acc = acc + cur.scale(c)
-    return acc
-
-
-def relabel(p: FreePoly, mapping: dict[int, int], m2: int | None = None) -> FreePoly:
-    """Rename variables; mapping sends old indices to new ones."""
-    m2 = m2 if m2 is not None else p.m
-    out: dict[Word, Scalar] = {}
-    for w, c in p.terms.items():
-        key = tuple(mapping[i] for i in w)
-        s = out.get(key)
-        v = c if s is None else s + c
-        if not v.is_zero():
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return FreePoly(m2, p.field, out)
 
 
 # -- named constructions -------------------------------------------------------

@@ -10,11 +10,12 @@ reported explicitly.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
 from polimage.fields import FieldSpec, QQ, Scalar
-from polimage.freealg import FreePoly
+from polimage.freealg import FreePoly, compile_plan, run_plan
 from polimage.matalg import Mat2, ConeKind, cone_classify, ratio_invariant, ratio_key
 
 DEFAULT_TERM_BUDGET = 10 ** 6
@@ -125,9 +126,6 @@ class ComPoly:
             return ComPoly.zero(self.nvars, self.field)
         return ComPoly(self.nvars, self.field, {e: k * c for e, k in self.terms.items()})
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def lead(self) -> tuple[Expo, Scalar]:
         """Leading term under graded lexicographic order; zero poly raises."""
         if not self.terms:
@@ -170,11 +168,6 @@ class GenericMat:
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
-    def zero(cls, nvars: int, field: FieldSpec) -> "GenericMat":
-        z = ComPoly.zero(nvars, field)
-        return cls(z, z, z, z)
-
-    @classmethod
     def generic(cls, block: int, nvars: int, field: FieldSpec) -> "GenericMat":
         """The generic matrix whose entries are indeterminates
         4*block .. 4*block+3 (block is 0-based)."""
@@ -208,39 +201,33 @@ class GenericMat:
     def term_count(self) -> int:
         return sum(len(e.terms) for e in self.entries())
 
-    def substitute(self, mats: list[Mat2]) -> Mat2:
-        """Plug concrete matrices into the generic entries."""
-        point: list[Scalar] = []
-        for mt in mats:
-            point.extend(mt.entries_vector())
-        return Mat2(self.a.evaluate(point), self.b.evaluate(point),
-                    self.c.evaluate(point), self.d.evaluate(point))
+
+def _scale(c: Scalar, x):
+    return x.scale(c)
 
 
 def generic_eval(p: FreePoly, budget: int = DEFAULT_TERM_BUDGET) -> GenericMat:
     """Evaluate p at m independent generic matrices.
 
-    Words are expanded left to right with collection after every product;
-    a constant term contributes c*I.  Raises TermBudgetExceeded as soon as
+    Products are formed left to right, a prefix shared with the previous
+    word only once, with collection after every product; a constant term
+    contributes c*I.  Raises TermBudgetExceeded as soon as
     any intermediate entry grows past the budget.
     """
     nvars = 4 * p.m
     gens = [GenericMat.generic(i, nvars, p.field) for i in range(p.m)]
-    acc = GenericMat.zero(nvars, p.field)
-    for w, c in p.sorted_terms():
-        if not w:
-            cp = ComPoly.constant(c, nvars)
-            z = ComPoly.zero(nvars, p.field)
-            acc = acc.add(GenericMat(cp, z, z, cp))
-            continue
-        cur = gens[w[0] - 1]
-        for i in w[1:]:
-            cur = cur.mul(gens[i - 1], budget)
-        acc = acc.add(cur.scale(c))
+    z = ComPoly.zero(nvars, p.field)
+    one = ComPoly.constant(p.field.one(), nvars)
+
+    def add(acc: GenericMat, term: GenericMat) -> GenericMat:
+        acc = acc.add(term)
         count = max(len(e.terms) for e in acc.entries())
         if count > budget:
             raise TermBudgetExceeded(count, budget)
-    return acc
+        return acc
+
+    return run_plan(compile_plan(p), gens, lambda x, y: x.mul(y, budget), add, _scale,
+                    GenericMat(z, z, z, z), GenericMat(one, z, z, one))
 
 
 def is_identically_zero(P: GenericMat) -> bool:
@@ -307,16 +294,8 @@ def eval_on_matrices(p: FreePoly, mats: list[Mat2]) -> Mat2:
     for mt in mats:
         if mt.field != p.field:
             raise ValueError("matrix field differs from coefficient field")
-    acc = Mat2.zero(p.field)
-    for w, c in p.sorted_terms():
-        if not w:
-            acc = acc + Mat2.identity(p.field).scale(c)
-            continue
-        cur = mats[w[0] - 1]
-        for i in w[1:]:
-            cur = cur * mats[i - 1]
-        acc = acc + cur.scale(c)
-    return acc
+    return run_plan(compile_plan(p), mats, operator.mul, operator.add, _scale,
+                    Mat2.zero(p.field), Mat2.identity(p.field))
 
 
 def random_mat2(field: FieldSpec, rng: random.Random, lo: int = 0, hi: int | None = None) -> Mat2:

@@ -148,9 +148,6 @@ class Mat2:
         # Cayley-Hamilton: for 2x2 nilpotency is exactly tr = det = 0
         return self.trace().is_zero() and self.det().is_zero()
 
-    def vec(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.a, self.b, self.c, self.d)
-
     def entries_vector(self):
         return [self.a, self.b, self.c, self.d]
 

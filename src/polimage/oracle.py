@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import getitem
 
 from polimage.classify import SpanAnomalyError, span_dimension
 from polimage.fields import FieldSpec, Scalar
-from polimage.freealg import FreePoly, capelli_poly
+from polimage.freealg import FreePoly, capelli_poly, compile_plan, run_plan
 from polimage.matalg import Mat2, cone_classify
 from polimage.generic import eval_on_matrices, random_mat2
 
@@ -188,67 +188,34 @@ def get_table(field: FieldSpec) -> MatTable:
     return tab
 
 
-def _compiled_words(p: FreePoly, table: MatTable) -> list[tuple[tuple[int, ...], int]]:
-    """Words with coefficient indices, ready for the int evaluator."""
+def int_plan(p: FreePoly, table: MatTable) -> list:
+    """p's evaluation plan with each coefficient as its row of table.mscale."""
     q = p.coerce(table.field)
     if q.has_constant_term():
         raise ValueError("enumeration requires a zero constant term")
-    return [(w, table.sindex(c)) for w, c in q.sorted_terms()]
+    return [(keep, first, rest, table.mscale[table.sindex(c)])
+            for keep, first, rest, c in compile_plan(q)]
 
 
-def eval_words(table: MatTable, words: list[tuple[tuple[int, ...], int]],
-               mats) -> int:
-    mul, scale, add = table.mul, table.scale, table.add
-    acc = 0
-    for w, cidx in words:
-        cur = mats[w[0] - 1]
-        for i in w[1:]:
-            cur = mul(cur, mats[i - 1])
-        acc = add(acc, scale(cidx, cur))
-    return acc
-
-
-def _naive_chunk(table, words, m, start, stop) -> set[int]:
-    n4 = table.n4
-    out = set()
-    mats = [0] * m
-    for idx in range(start, stop):
-        x = idx
-        for k in range(m - 1, -1, -1):
-            x, r = divmod(x, n4)
-            mats[k] = r
-        out.add(eval_words(table, words, mats))
-    return out
+def int_ring(table: MatTable) -> tuple:
+    """mul, add, scale, zero and one of int-encoded M_2(F_q), for run_plan
+    on a plan from int_plan."""
+    return table.mul, table.add, getitem, 0, table.identity_idx
 
 
 def naive_image(p: FreePoly, field: FieldSpec,
-                tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-                threads: int = 1) -> set[int]:
-    """Every value of p over M_2(F_q), by walking all q^(4m) argument tuples.
-
-    The thread split is a fixed partition of the tuple index range; the
-    result is the union of the parts, so the thread count never changes
-    the answer.
-    """
+                tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> set[int]:
+    """Every value of p over M_2(F_q), by walking all q^(4m) argument tuples."""
     table = get_table(field)
     total = table.n4 ** p.m
     if total > tuple_budget:
         raise EnumerationBudgetError(total, tuple_budget)
-    words = _compiled_words(p, table)
-    if not words:
+    plan = int_plan(p, table)
+    if not plan:
         return {0}
-    if threads <= 1 or total < 4096:
-        return _naive_chunk(table, words, p.m, 0, total)
-    threads = min(threads, 16)
-    step = -(-total // threads)
-    bounds = [(k * step, min((k + 1) * step, total)) for k in range(threads)]
-    bounds = [(a, b) for a, b in bounds if a < b]
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        parts = pool.map(lambda ab: _naive_chunk(table, words, p.m, *ab), bounds)
-        out: set[int] = set()
-        for part in parts:
-            out |= part
-    return out
+    ring = int_ring(table)
+    return {run_plan(plan, mats, *ring)
+            for mats in product(range(table.n4), repeat=p.m)}
 
 
 # -- subspace bookkeeping for the multilinear fast path -------------------------
@@ -324,13 +291,13 @@ def fast_multilinear_image(p: FreePoly, field: FieldSpec,
     if not p.is_multilinear():
         raise ValueError("fast enumeration requires a multilinear polynomial")
     table = get_table(field)
-    q = p.coerce(field)
-    words = _compiled_words(q, table)
-    if not words:
+    plan = int_plan(p, table)
+    if not plan:
         return {0}
+    ring = int_ring(table)
     units = [table.units[u] for u in ((1, 1), (1, 2), (2, 1), (2, 2))]
     if p.m == 1:
-        rows = rref_rows(table, [eval_words(table, words, (u,)) for u in units])
+        rows = rref_rows(table, [run_plan(plan, (u,), *ring) for u in units])
         core = expand_span(table, rows)
     else:
         reps = conjugacy_reps(table)
@@ -342,7 +309,7 @@ def fast_multilinear_image(p: FreePoly, field: FieldSpec,
         seen: set[tuple[int, ...]] = set()
         for r in reps:
             for tail in product(range(table.n4), repeat=rest):
-                vecs = [eval_words(table, words, (u, r) + tail) for u in units]
+                vecs = [run_plan(plan, (u, r) + tail, *ring) for u in units]
                 seen.add(rref_rows(table, vecs))
         core = set()
         for rows in seen:
@@ -420,7 +387,7 @@ class ImageReport:
 
 
 def _image_and_method(p: FreePoly, field: FieldSpec, method: str,
-                      tuple_budget: int, threads: int) -> tuple[set[int], str, dict]:
+                      tuple_budget: int) -> tuple[set[int], str, dict]:
     table = get_table(field)
     if method == "auto":
         method = "fast" if p.is_multilinear() else "naive"
@@ -429,7 +396,7 @@ def _image_and_method(p: FreePoly, field: FieldSpec, method: str,
         spent = {"leaves": (len(conjugacy_reps(table)) * table.n4 ** (p.m - 2)
                             if p.m >= 2 else 1)}
     elif method == "naive":
-        image = naive_image(p, field, tuple_budget, threads)
+        image = naive_image(p, field, tuple_budget)
         spent = {"tuples": table.n4 ** p.m}
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -460,11 +427,11 @@ def build_report(p: FreePoly, field: FieldSpec, image: set[int], method: str,
 
 
 def enumerate_image(p: FreePoly, field: FieldSpec, method: str = "auto",
-                    tuple_budget: int = DEFAULT_TUPLE_BUDGET, threads: int = 1,
+                    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
                     elements_limit: int = 100) -> ImageReport:
     """Exact image of p over M_2(F_q), with structural bookkeeping."""
     t0 = time.monotonic()
-    image, method, spent = _image_and_method(p, field, method, tuple_budget, threads)
+    image, method, spent = _image_and_method(p, field, method, tuple_budget)
     elapsed = time.monotonic() - t0
     return build_report(p, field, image, method, spent, elapsed,
                         tuple_budget, elements_limit)
@@ -478,7 +445,7 @@ _EXPECTED_SPAN = {
 
 
 def cross_check(p: FreePoly, field: FieldSpec, verdict: str,
-                tuple_budget: int = DEFAULT_TUPLE_BUDGET, threads: int = 1) -> dict:
+                tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> dict:
     """Compare a classifier verdict against the exhaustive image.
 
     Span tags must line up (a dense verdict expects the image to span all
@@ -488,7 +455,7 @@ def cross_check(p: FreePoly, field: FieldSpec, verdict: str,
     """
     table = get_table(field)
     t0 = time.monotonic()
-    image, method, spent = _image_and_method(p, field, "auto", tuple_budget, threads)
+    image, method, spent = _image_and_method(p, field, "auto", tuple_budget)
     rep = build_report(p, field, image, method, spent,
                        time.monotonic() - t0, tuple_budget)
     out = {"verdict": verdict, "oracle": rep.to_json(), "checks": {}}

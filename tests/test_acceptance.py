@@ -5,6 +5,7 @@ time, and failing loudly otherwise.  Time limits are part of the contract,
 so every criterion asserts its own wall clock.
 """
 
+import hashlib
 import json
 import time
 from itertools import product
@@ -23,6 +24,9 @@ from polimage.oracle import (enumerate_image, fast_multilinear_image, get_table,
                              verify_alternating_trace)
 
 F2, F3, F5, F7 = FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7)
+
+# SHA-256 of the corpus JSON (12,222 bytes); pins the bytes across commits
+CORPUS_SHA256 = "042802d73f7be986727d4ead570980bbad22b7d754a15a2997ea46f1ad7072db"
 
 _corpus_cache: dict = {}
 
@@ -192,5 +196,6 @@ def test_criterion_9_corpus_bytes_stable():
         cache = _corpus_run()
         again = json.dumps(run_corpus(), sort_keys=True, separators=(",", ":"))
         assert again == cache["bytes"]
-    _criterion(9, "corpus JSON is byte-identical across independent runs", 45,
-               body)
+        assert hashlib.sha256(again.encode()).hexdigest() == CORPUS_SHA256
+    _criterion(9, "corpus JSON is byte-identical across independent runs "
+                  "and to the pinned digest", 45, body)

@@ -60,8 +60,14 @@ def test_classify_deterministic_bytes(runner):
     assert out1 == out2 and out1.startswith("{")
 
 
-def test_classify_parse_error_exit_2(runner):
-    res = invoke(runner, ["classify", "x1 + @", "-m", "1"])
+@pytest.mark.parametrize("args", [
+    ["x1 + @", "-m", "1"],
+    # 1/5 has no value mod 5, nor 1/11 mod 11
+    ["1/5*x1*x2*x1", "-m", "2", "--char", "5"],
+    ["1/11*[x1,x2]^2*x1", "-m", "2", "--mode", "probabilistic", "--prime", "11"],
+], ids=["syntax", "char_divides_denominator", "prime_divides_denominator"])
+def test_classify_parse_error_exit_2(runner, args):
+    res = invoke(runner, ["classify", *args])
     assert res.exit_code == 2
     assert payload(res)["error"]["kind"] == "bad_input"
 
@@ -87,9 +93,12 @@ def test_enumerate_budget_exit_3(runner):
     assert res.exit_code == 3
 
 
-def test_enumerate_bad_field_exit_2(runner):
-    res = invoke(runner, ["enumerate", "x1", "-m", "1", "-q", "6"])
+@pytest.mark.parametrize("text, order", [("x1", "6"), ("1/5*x1", "5")],
+                         ids=["not_a_field_order", "char_divides_denominator"])
+def test_enumerate_bad_field_exit_2(runner, text, order):
+    res = invoke(runner, ["enumerate", text, "-m", "1", "-q", order])
     assert res.exit_code == 2
+    assert payload(res)["error"]["kind"] == "bad_input"
 
 
 def test_enumerate_rational_rejected(runner):
@@ -175,9 +184,3 @@ def test_pretty_flag(runner):
     assert res.output.startswith("{\n")
     assert json.loads(res.output)["cone"]["kind"] == "zero"
 
-
-def test_threads_env(runner, monkeypatch):
-    monkeypatch.setenv("POLIMAGE_THREADS", "4")
-    res = invoke(runner, ["enumerate", "[x1,x2]^2", "-m", "2", "-q", "2"])
-    assert res.exit_code == 0
-    assert payload(res)["report"]["size"] == 2

@@ -1,17 +1,26 @@
 """Free-algebra layer: parsing, formatting, weights, linearization."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polimage.fields import FieldSpec, QQ
-from polimage.freealg import (FreePoly, PolyParseError, capelli_poly, compose,
+from polimage.freealg import (FreePoly, PolyParseError, capelli_poly, compile_plan,
                               format_poly, infer_weights, multilinearize,
-                              parse_poly, relabel, semi_homogeneous_check,
+                              parse_poly, run_plan, semi_homogeneous_check,
                               standard_poly, weighted_parts)
 
 F5 = FieldSpec(5)
+
+
+def substitute(p, subs):
+    """p with subs[i-1] put in for x_i: the evaluator over the FreePoly ring."""
+    m, field = subs[0].m, subs[0].field
+    return run_plan(compile_plan(p), subs, operator.mul, operator.add,
+                    lambda c, x: x.scale(c), FreePoly.zero(m, field),
+                    FreePoly.constant(field.one(), m))
 
 
 def test_commutator_parse():
@@ -70,7 +79,8 @@ def test_standard_poly_s4():
     assert len(s4.terms) == 24
     assert s4.is_multilinear()
     # alternating: swapping two variables negates
-    swapped = relabel(s4, {1: 2, 2: 1, 3: 3, 4: 4}, 4)
+    x1, x2, x3, x4 = (FreePoly.variable(i, 4) for i in range(1, 5))
+    swapped = substitute(s4, [x2, x1, x3, x4])
     assert swapped == s4.scale(QQ.from_int(-1))
 
 
@@ -123,8 +133,8 @@ def test_multilinearize_commutator_square():
     assert len(lin.terms) == 16
     assert lin.is_multilinear()
     # substituting the blocks back gives 2! * 2! copies of the original
-    back = compose(lin, [parse_poly("x1", 2), parse_poly("x1", 2),
-                         parse_poly("x2", 2), parse_poly("x2", 2)])
+    back = substitute(lin, [parse_poly("x1", 2), parse_poly("x1", 2),
+                            parse_poly("x2", 2), parse_poly("x2", 2)])
     assert back == p.scale(QQ.from_int(4))
 
 

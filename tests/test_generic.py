@@ -3,15 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polimage.fields import FieldSpec, QQ
-from polimage.freealg import parse_poly, standard_poly
+from polimage.freealg import FreePoly, parse_poly, run_plan, standard_poly
 from polimage.generic import (ComPoly, DEFAULT_PROBE_PRIME, TermBudgetExceeded,
                               eval_on_matrices, generic_eval, is_central,
                               is_identically_zero, is_trace_zero,
                               probabilistic_probe, proportionality, random_mat2)
 from polimage.matalg import Mat2
+from polimage.oracle import get_table, int_plan, int_ring
 
 
 def test_generic_single_variable():
@@ -115,15 +116,46 @@ def test_random_mat2_uniform_field():
     assert any(m.a.val[1] != 0 for m in mats)  # leaves the prime subfield
 
 
+def plain_eval(p, mats, zero, one):
+    """Term by term, every word multiplied out from the identity."""
+    acc = zero
+    for w, c in p.terms.items():
+        cur = one
+        for i in w:
+            cur = cur * mats[i - 1]
+        acc = acc + cur.scale(c)
+    return acc
+
+
+# short words over two letters share prefixes often; () is a constant term
+word_lists = st.dictionaries(st.lists(st.integers(1, 2), max_size=5).map(tuple),
+                             st.integers(-3, 3).filter(bool), max_size=8)
+entries = st.lists(st.integers(-4, 4), min_size=8, max_size=8)
+
+
 @settings(max_examples=30)
-@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
-       st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
-       st.integers(-4, 4), st.integers(-4, 4))
-def test_generic_agrees_with_concrete_commutator(a, b, c, d, e, f, g, h):
-    p = parse_poly("[x1,x2]", 2)
-    P = generic_eval(p)
-    x = Mat2.from_ints(QQ, a, b, c, d)
-    y = Mat2.from_ints(QQ, e, f, g, h)
+@given(word_lists, entries)
+@example({(1, 2): 1, (2, 1): -1}, [1, 2, 0, 1, 0, 1, 1, 1])
+def test_generic_agrees_with_concrete_commutator(terms, ints):
+    p = FreePoly(2, QQ, {w: QQ.from_int(c) for w, c in terms.items()})
+    x, y = Mat2.from_ints(QQ, *ints[:4]), Mat2.from_ints(QQ, *ints[4:])
+    want = plain_eval(p, [x, y], Mat2.zero(QQ), Mat2.identity(QQ))
+    assert eval_on_matrices(p, [x, y]) == want
     point = list(x.entries_vector()) + list(y.entries_vector())
-    assert [v.evaluate(point) for v in P.entries()] == \
-        list(eval_on_matrices(p, [x, y]).entries_vector())
+    assert [v.evaluate(point) for v in generic_eval(p).entries()] == want.entries_vector()
+
+    f7 = FieldSpec(7)
+    p7 = p.coerce(f7)
+    x7, y7 = Mat2.from_ints(f7, *ints[:4]), Mat2.from_ints(f7, *ints[4:])
+    assert eval_on_matrices(p7, [x7, y7]) == \
+        plain_eval(p7, [x7, y7], Mat2.zero(f7), Mat2.identity(f7))
+
+    # the oracle's int-encoded ring over F_3, where constant terms are refused
+    f3 = FieldSpec(3)
+    table = get_table(f3)
+    p3 = FreePoly(2, QQ, {w: c for w, c in p.terms.items() if w}).coerce(f3)
+    x3, y3 = Mat2.from_ints(f3, *ints[:4]), Mat2.from_ints(f3, *ints[4:])
+    got = run_plan(int_plan(p3, table), (table.encode(x3), table.encode(y3)),
+                   *int_ring(table))
+    assert got == table.encode(plain_eval(p3, [x3, y3], Mat2.zero(f3),
+                                          Mat2.identity(f3)))

@@ -76,11 +76,6 @@ def test_fast_requires_multilinear():
         fast_multilinear_image(parse_poly("[x1,x2]^2", 2), F2)
 
 
-def test_thread_partition_is_invisible():
-    p = parse_poly("[x1,x2]", 2)
-    assert naive_image(p, F3, threads=1) == naive_image(p, F3, threads=4)
-
-
 def test_budget_refusal():
     with pytest.raises(EnumerationBudgetError) as e:
         naive_image(standard_poly(4), F3, tuple_budget=10 ** 6)
