@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import islice, product
 
-from polimage.fields import FieldSpec, QQ, Scalar
+from polimage.fields import FieldSpec, QQ
 from polimage.freealg import (FreePoly, infer_weights, parse_poly,
                               semi_homogeneous_check, weighted_parts)
 from polimage.generic import (DEFAULT_PROBE_PRIME, DEFAULT_TERM_BUDGET,
@@ -77,8 +77,9 @@ def all_unit_tuples(m: int, n: int = 2) -> list[UnitTuple]:
     return [tuple(t) for t in product(units, repeat=m)]
 
 
-def eval_on_units(p: FreePoly, units: UnitTuple, n: int = 2) -> dict[Unit, Scalar]:
-    """Exact evaluation at matrix units over M_n, as a sparse {(i,j): c} map.
+def eval_on_units(p: FreePoly, units: UnitTuple, n: int = 2) -> dict[Unit, object]:
+    """Exact evaluation at matrix units over M_n, as a sparse {(i,j): c} map
+    of raw values of p's field.
 
     Unit products collapse symbolically: e_ab * e_cd is e_ad when b = c and
     zero otherwise, so each word contributes to at most one cell.
@@ -88,14 +89,16 @@ def eval_on_units(p: FreePoly, units: UnitTuple, n: int = 2) -> dict[Unit, Scala
     for i, j in units:
         if i > n or j > n:
             raise ValueError(f"unit e{i}{j} does not fit in M_{n}")
-    cells: dict[Unit, Scalar] = {}
+    add, z = p.field.ops.add, p.field.ops.zero
+    cells: dict[Unit, object] = {}
     for w, c in p.sorted_terms():
+        c = c.val
         if not w:
             for k in range(1, n + 1):
                 key = (k, k)
                 s = cells.get(key)
-                v = c if s is None else s + c
-                if v.is_zero():
+                v = c if s is None else add(s, c)
+                if v == z:
                     cells.pop(key, None)
                 else:
                     cells[key] = v
@@ -112,18 +115,18 @@ def eval_on_units(p: FreePoly, units: UnitTuple, n: int = 2) -> dict[Unit, Scala
             continue
         key = (row, col)
         s = cells.get(key)
-        v = c if s is None else s + c
-        if v.is_zero():
+        v = c if s is None else add(s, c)
+        if v == z:
             cells.pop(key, None)
         else:
             cells[key] = v
     return cells
 
 
-def cells_to_mat2(cells: dict[Unit, Scalar], field: FieldSpec) -> Mat2:
-    z = field.zero()
+def cells_to_mat2(cells: dict[Unit, object], field: FieldSpec) -> Mat2:
+    z = field.ops.zero
     return Mat2(cells.get((1, 1), z), cells.get((1, 2), z),
-                cells.get((2, 1), z), cells.get((2, 2), z))
+                cells.get((2, 1), z), cells.get((2, 2), z), field)
 
 
 def unit_evaluations(p: FreePoly, n: int = 2,
@@ -242,20 +245,22 @@ def span_dimension(mats: list[Mat2]) -> SpanResult:
     The basis keeps the first spanning elements in input order, so unit
     evaluations produce a reproducible basis.
     """
-    rows: list[list[Scalar]] = []   # reduced rows, in echelon shape
+    rows: list[list] = []   # reduced rows of raw values, in echelon shape
     pivots: list[int] = []
     basis: list[Mat2] = []
     for mt in mats:
+        ops = mt.field.ops
+        sub, mul, z = ops.sub, ops.mul, ops.zero
         vec = mt.entries_vector()
         for row, piv in zip(rows, pivots):
-            if not vec[piv].is_zero():
-                f = vec[piv]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        lead = next((k for k, v in enumerate(vec) if not v.is_zero()), None)
+            f = vec[piv]
+            if f != z:
+                vec = [sub(a, mul(f, b)) for a, b in zip(vec, row)]
+        lead = next((k for k, v in enumerate(vec) if v != z), None)
         if lead is None:
             continue
-        inv = vec[lead].inverse()
-        rows.append([v * inv for v in vec])
+        inv = ops.inv(vec[lead])
+        rows.append([mul(v, inv) for v in vec])
         pivots.append(lead)
         basis.append(mt)
         if len(rows) == 4:
@@ -265,12 +270,14 @@ def span_dimension(mats: list[Mat2]) -> SpanResult:
         return SpanResult(0, [], "zero")
     if dim == 4:
         return SpanResult(4, basis, "full")
+    ops = basis[0].field.ops
+    z = ops.zero
     if dim == 1:
         v = rows[0]
-        if v[1].is_zero() and v[2].is_zero() and v[0] == v[3] and not v[0].is_zero():
+        if v[1] == z and v[2] == z and v[0] == v[3] and v[0] != z:
             return SpanResult(1, basis, "scalars")
         raise SpanAnomalyError(1, basis)
-    if dim == 3 and all((r[0] + r[3]).is_zero() for r in rows):
+    if dim == 3 and all(ops.add(r[0], r[3]) == z for r in rows):
         return SpanResult(3, basis, "sl2")
     raise SpanAnomalyError(dim, basis)
 
@@ -368,7 +375,7 @@ def classify_multilinear(p: FreePoly, char: int = 0) -> ImageClass:
     if verdict != Verdict.ZERO:
         for kind, test in (("nonzero_value", _nonzero),
                            ("non_scalar_value", lambda v: not v.is_scalar()),
-                           ("nonzero_trace_value", lambda v: not v.trace().is_zero())):
+                           ("nonzero_trace_value", lambda v: not v.is_traceless())):
             hit = _first(evals, test)
             if hit is not None:
                 out.witnesses.append(_wit(kind, *hit))
@@ -493,7 +500,7 @@ def _trace_zero_branch(out: ImageClass, q: FreePoly, search_budget: int,
                        seed: int) -> ImageClass:
     scanned, hit = 0, None
     for scanned, (mats, val) in enumerate(_witness_scan(q, search_budget, seed), 1):
-        if not val.is_zero() and val.det().is_zero() and val.trace().is_zero():
+        if not val.is_zero() and val.is_nilpotent():
             hit = mats, val
             break
     out.budget_consumed["witness_tuples"] = scanned
@@ -625,8 +632,8 @@ def nondense_invariant_check(pairs: list[tuple[Mat2, Mat2]]) -> bool:
             raise ValueError("the eigenvalue-gap identity degenerates in characteristic 2")
         comm = a * b - b * a
         val = comm + comm * comm
-        two = val.field.from_int(2)
-        if val.disc() != two * val.trace():
+        ops = val.field.ops
+        if val.disc() != ops.mul(ops.from_int(2), val.trace()):
             return False
     return True
 

@@ -211,9 +211,10 @@ def cone(matrix, field_name, pretty):
         fail("cone", pretty, "bad_input", str(e), EXIT_BAD_INPUT)
         return
     cls = cone_classify(mt)
+    fmt = field.ops.fmt
     payload = {
         "matrix": str(mt), "field": str(field), "cone": cls.to_json(),
-        "trace": str(mt.trace()), "det": str(mt.det()), "disc": str(mt.disc()),
+        "trace": fmt(mt.trace()), "det": fmt(mt.det()), "disc": fmt(mt.disc()),
         "ratio": ratio_key(ratio_invariant(mt)),
     }
     emit(payload, "cone", pretty)

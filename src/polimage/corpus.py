@@ -169,7 +169,7 @@ def _check_cross_mode(entry: CorpusEntry, p: FreePoly) -> dict:
                            "agrees": res.verdict == entry.expected}}
 
 
-def run_entry(entry: CorpusEntry, tuple_budget: int | None = None) -> dict:
+def run_entry(entry: CorpusEntry) -> dict:
     """Classify one corpus entry and run its side checks."""
     p = build_poly(entry)
     result = classify_general(p, char=entry.char, mode=entry.mode,

@@ -1,10 +1,18 @@
 """Exact scalar arithmetic over Q, F_p and the quadratic extension F_{p^2}.
 
-All arithmetic is exact: rationals are kept reduced at arbitrary precision,
-prime-field elements are canonical residues, and quadratic-extension elements
-are pairs a + b*t where t is a fixed root adjoined once per characteristic.
-For odd p, t^2 = d with d the smallest quadratic non-residue mod p.  For
-p = 2 the extension is F_4 with t^2 + t + 1 = 0.
+Values are kept raw, and each field's ``ops`` object does all arithmetic
+on them:
+
+  Q         an int while the value is integral, otherwise a reduced
+            Fraction; division goes through Fraction, so no float appears
+  F_p       an int residue in [0, p)
+  F_{p^2}   the pair (a, b) meaning a + b*t, where t is a fixed root
+            adjoined once per characteristic: t^2 = d with d the smallest
+            quadratic non-residue mod p for odd p, and t^2 + t + 1 = 0
+            for p = 2 (so F_4)
+
+Matrices and commutative polynomials hold raw values; :class:`Scalar` boxes
+one value with its field where single elements cross an interface.
 """
 
 from __future__ import annotations
@@ -85,9 +93,149 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
+def canonical_q(x):
+    """A rational value in its canonical layout: int when integral."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
+class RationalOps:
+    """Q: an int while the value is integral, otherwise a Fraction.
+
+    Division goes through Fraction(a, b), never '/', so no float appears.
+    """
+
+    zero, one = 0, 1
+
+    def add(self, a, b):
+        return canonical_q(a + b)
+
+    def sub(self, a, b):
+        return canonical_q(a - b)
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return canonical_q(a * b)
+
+    def inv(self, a):
+        return canonical_q(Fraction(1, a))
+
+    def div(self, a, b):
+        return canonical_q(Fraction(a, b))
+
+    def from_int(self, n: int):
+        return n
+
+    def from_fraction(self, fr):
+        return canonical_q(Fraction(fr))
+
+    fmt = staticmethod(str)
+
+
+class PrimeOps:
+    """F_p: an int residue in [0, p)."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("scalar division by zero")
+        return pow(a, -1, self.p)
+
+    def div(self, a, b):
+        return a * self.inv(b) % self.p
+
+    def from_int(self, n: int):
+        return n % self.p
+
+    def from_fraction(self, fr):
+        fr = Fraction(fr)
+        num, den = fr.numerator, fr.denominator
+        if den % self.p == 0:
+            raise ZeroDivisionError(f"denominator {den} not invertible mod {self.p}")
+        return num * pow(den, -1, self.p) % self.p
+
+    fmt = staticmethod(str)
+
+
+class QuadraticOps:
+    """F_{p^2}: the pair (a, b) meaning a + b*t, with t^2 = s*t + c."""
+
+    zero, one = (0, 0), (1, 0)
+
+    def __init__(self, p: int):
+        self.p = p
+        self.base = PrimeOps(p)
+        # t^2 = t + 1 for p = 2 (so F_4), else t^2 = the least non-residue
+        self.s, self.c = (1, 1) if p == 2 else (0, _smallest_nonresidue(p))
+
+    def add(self, x, y):
+        p = self.p
+        return (x[0] + y[0]) % p, (x[1] + y[1]) % p
+
+    def sub(self, x, y):
+        p = self.p
+        return (x[0] - y[0]) % p, (x[1] - y[1]) % p
+
+    def neg(self, x):
+        p = self.p
+        return -x[0] % p, -x[1] % p
+
+    def mul(self, x, y):
+        p = self.p
+        (x1, y1), (x2, y2) = x, y
+        cross = y1 * y2
+        return (x1 * x2 + self.c * cross) % p, (x1 * y2 + y1 * x2 + self.s * cross) % p
+
+    def inv(self, x):
+        if x == (0, 0):
+            raise ZeroDivisionError("scalar division by zero")
+        p, s, c = self.p, self.s, self.c
+        a, b = x
+        # conjugate is a + b*(s - t); the norm a^2 + a*b*s - b^2*c sits in F_p
+        ninv = pow((a * a + a * b * s - b * b * c) % p, -1, p)
+        return (a + b * s) * ninv % p, -b * ninv % p
+
+    def div(self, x, y):
+        return self.mul(x, self.inv(y))
+
+    def from_int(self, n: int):
+        return n % self.p, 0
+
+    def from_fraction(self, fr):
+        return self.base.from_fraction(fr), 0
+
+    @staticmethod
+    def fmt(x) -> str:
+        a, b = x
+        return str(a) if b == 0 else f"{a}+{b}*t"
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """A coefficient field: char 0 means Q, otherwise F_p or F_{p^2}."""
+    """A coefficient field: char 0 means Q, otherwise F_p or F_{p^2}.
+
+    ``ops`` does all arithmetic on the field's raw values; see the module
+    docstring for their layouts.
+    """
 
     char: int
     degree: int = 1
@@ -100,6 +248,9 @@ class FieldSpec:
             raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
         if self.degree not in (1, 2):
             raise ValueError("extension degree must be 1 or 2")
+        ops = (RationalOps() if self.char == 0 else PrimeOps(self.char)
+               if self.degree == 1 else QuadraticOps(self.char))
+        object.__setattr__(self, "ops", ops)
 
     @property
     def order(self):
@@ -111,35 +262,17 @@ class FieldSpec:
             raise ValueError("quadratic extension only defined in positive characteristic")
         return FieldSpec(self.char, 2)
 
-    def _theta_sq(self):
-        # t^2 = s*t + c: reduction rule for the adjoined root
-        if self.char == 2:
-            return 1, 1  # t^2 = t + 1
-        return 0, _smallest_nonresidue(self.char)
-
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        return Scalar(self, self.ops.zero)
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return Scalar(self, self.ops.one)
 
     def from_int(self, n: int) -> "Scalar":
-        if self.char == 0:
-            return Scalar(self, Fraction(n))
-        if self.degree == 1:
-            return Scalar(self, n % self.char)
-        return Scalar(self, (n % self.char, 0))
+        return Scalar(self, self.ops.from_int(n))
 
     def from_fraction(self, fr: Fraction) -> "Scalar":
-        if self.char == 0:
-            return Scalar(self, Fraction(fr))
-        num, den = fr.numerator, fr.denominator
-        if den % self.char == 0:
-            raise ZeroDivisionError(f"denominator {den} not invertible mod {self.char}")
-        val = num * pow(den, -1, self.char) % self.char
-        if self.degree == 1:
-            return Scalar(self, val)
-        return Scalar(self, (val, 0))
+        return Scalar(self, self.ops.from_fraction(fr))
 
     def theta(self) -> "Scalar":
         """The adjoined root t of the degree-2 extension."""
@@ -147,18 +280,18 @@ class FieldSpec:
             raise ValueError("theta lives in the quadratic extension")
         return Scalar(self, (0, 1))
 
-    def elements(self):
-        """Iterate every element; finite fields only."""
+    def raw_elements(self) -> list:
+        """Every raw value; finite fields only."""
         if self.char == 0:
             raise ValueError("cannot enumerate Q")
         p = self.char
         if self.degree == 1:
-            for a in range(p):
-                yield Scalar(self, a)
-        else:
-            for b in range(p):
-                for a in range(p):
-                    yield Scalar(self, (a, b))
+            return list(range(p))
+        return [(a, b) for b in range(p) for a in range(p)]
+
+    def elements(self):
+        """Iterate every element; finite fields only."""
+        return (Scalar(self, v) for v in self.raw_elements())
 
     def __str__(self):
         if self.char == 0:
@@ -170,11 +303,12 @@ QQ = FieldSpec(0)
 
 
 class Scalar:
-    """One field element.  Value layout depends on the field:
+    """One field element, boxed: a raw value (``val``) with its field.
 
-    char 0       -> Fraction
-    F_p          -> int residue in [0, p)
-    F_{p^2}      -> (a, b) meaning a + b*t
+    Hot arithmetic works on raw values through ``field.ops``; Scalar is
+    the view used where single values cross an interface (parsing,
+    polynomial coefficients, reports).  Operands must come from the same
+    field; plain ints are read as integers of that field.
     """
 
     __slots__ = ("field", "val")
@@ -183,103 +317,46 @@ class Scalar:
         self.field = field
         self.val = val
 
-    # -- coercion ---------------------------------------------------------
-
-    def _lift(self) -> "Scalar":
-        # embed F_p into F_{p^2}
-        return Scalar(self.field.extension(), (self.val, 0))
-
-    def _pair(self, other):
+    def _raw(self, other):
+        # the raw value of a same-field operand, or None for foreign types
+        if type(other) is Scalar:
+            if other.field is not self.field and other.field != self.field:
+                raise FieldMismatchError(f"cannot combine {self.field} and {other.field}")
+            return other.val
         if isinstance(other, int):
-            other = self.field.from_int(other)
-        elif isinstance(other, Fraction):
-            other = self.field.from_fraction(other)
-        if not isinstance(other, Scalar):
-            return None, None
-        a, b = self, other
-        if a.field != b.field:
-            if a.field.char != b.field.char or a.field.char == 0:
-                raise FieldMismatchError(f"cannot combine {a.field} and {b.field}")
-            if a.field.degree == 1:
-                a = a._lift()
-            else:
-                b = b._lift()
-        return a, b
-
-    # -- arithmetic -------------------------------------------------------
+            return self.field.ops.from_int(other)
+        return None
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        f = a.field
-        if f.char == 0:
-            return Scalar(f, a.val + b.val)
-        p = f.char
-        if f.degree == 1:
-            return Scalar(f, (a.val + b.val) % p)
-        (x1, y1), (x2, y2) = a.val, b.val
-        return Scalar(f, ((x1 + x2) % p, (y1 + y2) % p))
+        v = self._raw(other)
+        return NotImplemented if v is None else Scalar(self.field, self.field.ops.add(self.val, v))
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        if f.char == 0:
-            return Scalar(f, -self.val)
-        p = f.char
-        if f.degree == 1:
-            return Scalar(f, -self.val % p)
-        a, b = self.val
-        return Scalar(f, (-a % p, -b % p))
+        return Scalar(self.field, self.field.ops.neg(self.val))
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a + (-b)
+        v = self._raw(other)
+        return NotImplemented if v is None else Scalar(self.field, self.field.ops.sub(self.val, v))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        f = a.field
-        if f.char == 0:
-            return Scalar(f, a.val * b.val)
-        p = f.char
-        if f.degree == 1:
-            return Scalar(f, a.val * b.val % p)
-        (x1, y1), (x2, y2) = a.val, b.val
-        s, c = f._theta_sq()
-        cross = y1 * y2
-        return Scalar(f, ((x1 * x2 + c * cross) % p, (x1 * y2 + y1 * x2 + s * cross) % p))
+        v = self._raw(other)
+        return NotImplemented if v is None else Scalar(self.field, self.field.ops.mul(self.val, v))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        f = self.field
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if f.char == 0:
-            return Scalar(f, 1 / self.val)
-        p = f.char
-        if f.degree == 1:
-            return Scalar(f, pow(self.val, -1, p))
-        a, b = self.val
-        s, c = f._theta_sq()
-        # conjugate is a + b*(s - t); the norm a^2 + a*b*s - b^2*c sits in F_p
-        norm = (a * a + a * b * s - b * b * c) % p
-        ninv = pow(norm, -1, p)
-        return Scalar(f, ((a + b * s) * ninv % p, -b * ninv % p))
+        return Scalar(self.field, self.field.ops.inv(self.val))
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a * b.inverse()
+        v = self._raw(other)
+        return NotImplemented if v is None else Scalar(self.field, self.field.ops.div(self.val, v))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -298,49 +375,33 @@ class Scalar:
             k >>= 1
         return out
 
-    # -- predicates and identity ------------------------------------------
-
     def is_zero(self) -> bool:
-        if self.field.char == 0:
-            return self.val == 0
-        if self.field.degree == 1:
-            return self.val == 0
-        return self.val == (0, 0)
+        return self.val == self.field.ops.zero
 
     def is_one(self) -> bool:
-        return self == self.field.one()
+        return self.val == self.field.ops.one
 
-    def _canon(self):
-        # canonical (char, a, b) encoding shared by F_p and its extension
-        if self.field.char == 0:
-            return (0, self.val, 0)
-        if self.field.degree == 1:
-            return (self.field.char, self.val, 0)
-        return (self.field.char, self.val[0], self.val[1])
+    def _key(self):
+        # (char, a, b), shared by F_p and its extension, where F_p embeds as (a, 0)
+        if self.field.degree == 2:
+            return (self.field.char, *self.val)
+        return (self.field.char, self.val, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             try:
-                other = (self.field.from_int(other) if isinstance(other, int)
-                         else self.field.from_fraction(other))
+                other = self.field.from_fraction(other)
             except ZeroDivisionError:
                 return NotImplemented
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.field.char != other.field.char:
-            return False
-        return self._canon() == other._canon()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._canon())
+        return hash(self._key())
 
     def __str__(self):
-        if self.field.char == 0 or self.field.degree == 1:
-            return str(self.val)
-        a, b = self.val
-        if b == 0:
-            return str(a)
-        return f"{a}+{b}*t"
+        return self.field.ops.fmt(self.val)
 
     def __repr__(self):
         return f"Scalar({self}, {self.field})"

@@ -10,8 +10,9 @@ The text format understood by :func:`parse_poly` is
     var    := 'x' posint        coeff := int | int '/' posint
 
 with '[a,b]' expanding to a*b - b*a and '^k' (k >= 1) to k-fold repetition.
-A bare coefficient is kept as a constant term; downstream classification
-rejects constant terms, the algebra itself allows them.
+Brackets and parentheses nest at most MAX_NESTING deep.  A bare coefficient
+is kept as a constant term; downstream classification rejects constant
+terms, the algebra itself allows them.
 
 Every evaluation of a polynomial, in whatever ring, goes through one
 prefix-sharing evaluator.  :func:`compile_plan` turns the terms, in the
@@ -33,6 +34,8 @@ from polimage.fields import FieldSpec, QQ, Scalar
 
 Word = tuple[int, ...]
 
+MAX_NESTING = 300
+
 
 class PolyParseError(ValueError):
     """Syntax error with the 0-based offset where parsing failed."""
@@ -47,13 +50,17 @@ def _word_key(w: Word):
 
 
 class FreePoly:
-    __slots__ = ("m", "field", "terms")
+    """Words mapped to nonzero Scalar coefficients; treated as immutable once
+    built, so its evaluation plan is compiled once and kept."""
+
+    __slots__ = ("m", "field", "terms", "_plan")
 
     def __init__(self, m: int, field: FieldSpec, terms: dict[Word, Scalar] | None = None):
         if m < 0:
             raise ValueError("variable count must be >= 0")
         self.m = m
         self.field = field
+        self._plan = None
         self.terms = {}
         if terms:
             for w, c in terms.items():
@@ -213,8 +220,11 @@ def compile_plan(p: FreePoly) -> list[Step]:
     A step keeps the first `keep` letters of the previous word.  With
     keep = 0 it starts a fresh product at the 0-based variable `first`, or
     at the ring's one for the empty word (first is None).  It then
-    multiplies on the 0-based variables of `rest` in turn.
+    multiplies on the 0-based variables of `rest` in turn.  The coefficient
+    is the raw value of p's field.  The plan is built once per polynomial.
     """
+    if p._plan is not None:
+        return p._plan
     plan: list[Step] = []
     prev: Word = ()
     for w, c in p.sorted_terms():
@@ -224,10 +234,11 @@ def compile_plan(p: FreePoly) -> list[Step]:
                 break
             keep += 1
         if keep:
-            plan.append((keep, None, tuple(i - 1 for i in w[keep:]), c))
+            plan.append((keep, None, tuple(i - 1 for i in w[keep:]), c.val))
         else:
-            plan.append((0, w[0] - 1 if w else None, tuple(i - 1 for i in w[1:]), c))
+            plan.append((0, w[0] - 1 if w else None, tuple(i - 1 for i in w[1:]), c.val))
         prev = w
+    p._plan = plan
     return plan
 
 
@@ -300,6 +311,7 @@ class _Parser:
         self.m = m
         self.field = field
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str):
         raise PolyParseError(msg, self.pos)
@@ -326,45 +338,49 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start:self.pos])
 
+    def coefficient(self) -> Fraction | None:
+        if not self.peek().isdigit():
+            return None
+        num = self.integer()
+        den = 1
+        if self.peek() == "/":
+            self.pos += 1
+            den = self.integer()
+            if den == 0:
+                self.error("zero denominator")
+        return Fraction(num, den)
+
     def expr(self) -> FreePoly:
-        sign = 1
+        # each term is read here rather than in a method of its own, so one
+        # nesting level costs two stack frames (expr and factor) and
+        # MAX_NESTING levels stay well inside the interpreter's recursion limit
+        acc, sign = None, 1
         if self.peek() in ("+", "-"):
             if self.peek() == "-":
                 sign = -1
             self.pos += 1
-        acc = self.term()
-        if sign < 0:
-            acc = -acc
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            t = self.term()
-            acc = acc - t if op == "-" else acc + t
-        return acc
-
-    def term(self) -> FreePoly:
-        ch = self.peek()
-        coeff = None
-        if ch.isdigit():
-            num = self.integer()
-            den = 1
-            if self.peek() == "/":
-                self.pos += 1
-                den = self.integer()
-                if den == 0:
-                    self.error("zero denominator")
-            coeff = Fraction(num, den)
-            if self.peek() != "*":
+        while True:
+            coeff = self.coefficient()
+            if coeff is not None and self.peek() != "*":
                 # bare constant term
-                return FreePoly.constant(self.field.from_fraction(coeff), self.m)
+                t = FreePoly.constant(self.field.from_fraction(coeff), self.m)
+            else:
+                if coeff is not None:
+                    self.pos += 1
+                t = self.factor()
+                while self.peek() == "*":
+                    self.pos += 1
+                    t = t * self.factor()
+                if coeff is not None:
+                    t = t.scale(coeff)
+            if acc is None:
+                acc = -t if sign < 0 else t
+            else:
+                acc = acc - t if sign < 0 else acc + t
+            if self.peek() not in ("+", "-"):
+                return acc
+            sign = -1 if self.peek() == "-" else 1
             self.pos += 1
-        acc = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            acc = acc * self.factor()
-        if coeff is not None:
-            acc = acc.scale(coeff)
-        return acc
 
     def factor(self) -> FreePoly:
         ch = self.peek()
@@ -376,17 +392,20 @@ class _Parser:
                 self.pos = at
                 self.error(f"variable x{idx} not among the {self.m} declared")
             out = FreePoly.variable(idx, self.m, self.field)
-        elif ch == "[":
-            self.pos += 1
-            a = self.expr()
-            self.take(",")
-            b = self.expr()
-            self.take("]")
-            out = a * b - b * a
-        elif ch == "(":
+        elif ch in ("[", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error(f"brackets nest deeper than {MAX_NESTING}")
             self.pos += 1
             out = self.expr()
-            self.take(")")
+            if ch == "[":
+                self.take(",")
+                b = self.expr()
+                self.take("]")
+                out = out * b - b * out
+            else:
+                self.take(")")
+            self.depth -= 1
         else:
             self.error("expected a variable, '[', '(' or a coefficient")
         while self.peek() == "^":

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import operator
 import random
+from operator import add as _add
 from dataclasses import dataclass, field as dc_field
 
-from polimage.fields import FieldSpec, QQ, Scalar
+from polimage.fields import FieldSpec, QQ, Scalar, canonical_q
 from polimage.freealg import FreePoly, compile_plan, run_plan
 from polimage.matalg import Mat2, ConeKind, cone_classify, ratio_invariant, ratio_key
 
@@ -37,18 +38,16 @@ Expo = tuple[int, ...]
 
 
 class ComPoly:
-    """Sparse commutative polynomial: exponent vector -> nonzero Scalar."""
+    """Sparse commutative polynomial: exponent vector -> nonzero raw
+    coefficient of ``field``."""
 
     __slots__ = ("nvars", "field", "terms")
 
-    def __init__(self, nvars: int, field: FieldSpec, terms: dict[Expo, Scalar] | None = None):
+    def __init__(self, nvars: int, field: FieldSpec, terms: dict[Expo, object] | None = None):
         self.nvars = nvars
         self.field = field
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if not c.is_zero():
-                    self.terms[e] = c
+        z = field.ops.zero
+        self.terms = {e: c for e, c in terms.items() if c != z} if terms else {}
 
     @classmethod
     def zero(cls, nvars: int, field: FieldSpec) -> "ComPoly":
@@ -56,12 +55,12 @@ class ComPoly:
 
     @classmethod
     def constant(cls, c: Scalar, nvars: int) -> "ComPoly":
-        return cls(nvars, c.field, {(0,) * nvars: c})
+        return cls(nvars, c.field, {(0,) * nvars: c.val})
 
     @classmethod
     def variable(cls, i: int, nvars: int, field: FieldSpec) -> "ComPoly":
         e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, field, {e: field.one()})
+        return cls(nvars, field, {e: field.ops.one})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -75,37 +74,57 @@ class ComPoly:
         return hash((self.nvars, self.field, frozenset(self.terms.items())))
 
     def __add__(self, other: "ComPoly") -> "ComPoly":
+        f = self.field
+        p, pairs, add, z = f.char, f.degree == 2, f.ops.add, f.ops.zero
         out = dict(self.terms)
+        get, pop = out.get, out.pop
         for e, c in other.terms.items():
-            s = out.get(e)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = c
-        return ComPoly(self.nvars, self.field, out)
+            s = get(e)
+            if s is not None:
+                if pairs:
+                    c = add(s, c)
+                else:
+                    c = (s + c) % p if p else s + c
+                if c == z:
+                    pop(e)
+                    continue
+            out[e] = c
+        return ComPoly(self.nvars, f, out if p else _q_terms(out))
 
     def __neg__(self) -> "ComPoly":
-        return ComPoly(self.nvars, self.field, {e: -c for e, c in self.terms.items()})
+        neg = self.field.ops.neg
+        return ComPoly(self.nvars, self.field, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "ComPoly") -> "ComPoly":
         return self + (-other)
 
     def mul(self, other: "ComPoly", budget: int | None = None) -> "ComPoly":
-        out: dict[Expo, Scalar] = {}
+        # the field's layout is chosen once per product: pairs go through
+        # the ops object, ints and Fractions through Python's own operators
+        f = self.field
+        p, pairs, mul, add, z = f.char, f.degree == 2, f.ops.mul, f.ops.add, f.ops.zero
+        out: dict[Expo, object] = {}
+        get, pop = out.get, out.pop
+        items = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                c = c if s is None else s + c
-                if c.is_zero():
-                    out.pop(e, None)
+            for e2, c2 in items:
+                e = tuple(map(_add, e1, e2))
+                s = get(e)
+                if pairs:
+                    c = mul(c1, c2) if s is None else add(s, mul(c1, c2))
                 else:
+                    c = c1 * c2 if s is None else s + c1 * c2
+                    if p:
+                        c %= p
+                # a product of nonzero field elements is nonzero, so only a
+                # sum with an earlier term can cancel
+                if c != z:
                     out[e] = c
+                else:
+                    pop(e)
             if budget is not None and len(out) > budget:
                 raise TermBudgetExceeded(len(out), budget)
-        return ComPoly(self.nvars, self.field, out)
+        return ComPoly(self.nvars, f, out if p else _q_terms(out))
 
     def __mul__(self, other):
         if isinstance(other, ComPoly):
@@ -120,43 +139,61 @@ class ComPoly:
         return NotImplemented
 
     def scale(self, c) -> "ComPoly":
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        if c.is_zero():
-            return ComPoly.zero(self.nvars, self.field)
-        return ComPoly(self.nvars, self.field, {e: k * c for e, k in self.terms.items()})
+        """c times the polynomial; c is a Scalar, a raw value of the field,
+        or an int read as an integer of the field."""
+        f = self.field
+        ops = f.ops
+        if type(c) is Scalar:
+            c = c.val
+        elif type(c) is int:
+            c = ops.from_int(c)
+        if c == ops.zero:
+            return ComPoly.zero(self.nvars, f)
+        mul = ops.mul
+        return ComPoly(self.nvars, f, {e: mul(k, c) for e, k in self.terms.items()})
 
-    def lead(self) -> tuple[Expo, Scalar]:
+    def lead(self) -> tuple[Expo, object]:
         """Leading term under graded lexicographic order; zero poly raises."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=lambda t: (sum(t), t))
         return e, self.terms[e]
 
-    def evaluate(self, point: list[Scalar]) -> Scalar:
+    def evaluate(self, point: list) -> object:
+        """The value at a point of raw field values."""
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates")
-        acc = self.field.zero()
+        ops = self.field.ops
+        acc = ops.zero
         for e, c in self.terms.items():
             v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * point[i] ** k
-            acc = acc + v
+            for x, k in zip(point, e):
+                for _ in range(k):
+                    v = ops.mul(v, x)
+            acc = ops.add(acc, v)
         return acc
 
     def __str__(self):
         if not self.terms:
             return "0"
+        fmt = self.field.ops.fmt
         bits = []
         for e in sorted(self.terms, key=lambda t: (sum(t), t)):
             mono = "*".join(f"u{i}^{k}" if k > 1 else f"u{i}"
                             for i, k in enumerate(e) if k)
-            c = self.terms[e]
-            bits.append(f"{c}" if not mono else f"{c}*{mono}")
+            c = fmt(self.terms[e])
+            bits.append(c if not mono else f"{c}*{mono}")
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def _q_terms(terms: dict) -> dict:
+    # rational coefficients back in their canonical layout (int when integral)
+    for e, c in terms.items():
+        if type(c) is not int:
+            terms[e] = canonical_q(c)
+    return terms
 
 
 class GenericMat:
@@ -186,7 +223,7 @@ class GenericMat:
             self.c.mul(other.b, budget) + self.d.mul(other.d, budget),
         )
 
-    def scale(self, c: Scalar) -> "GenericMat":
+    def scale(self, c) -> "GenericMat":
         return GenericMat(self.a.scale(c), self.b.scale(c), self.c.scale(c), self.d.scale(c))
 
     def entries(self):
@@ -202,7 +239,7 @@ class GenericMat:
         return sum(len(e.terms) for e in self.entries())
 
 
-def _scale(c: Scalar, x):
+def _scale(c, x):
     return x.scale(c)
 
 
@@ -267,20 +304,21 @@ def proportionality(tau: ComPoly, delta: ComPoly) -> Proportionality:
     off the graded-lex leading terms and verified exactly; failures report
     witness exponent vectors.
     """
+    f = tau.field
     if delta.is_zero():
         if tau.is_zero():
-            return Proportionality(True, tau.field.zero(), degenerate=True)
+            return Proportionality(True, f.zero(), degenerate=True)
         return Proportionality(False, None, degenerate=True, witnesses=(tau.lead()[0],))
     if tau.is_zero():
-        return Proportionality(True, tau.field.zero())
+        return Proportionality(True, f.zero())
     e_t, c_t = tau.lead()
     e_d, c_d = delta.lead()
     if e_t != e_d:
         return Proportionality(False, witnesses=(e_t, e_d))
-    c = c_t / c_d
+    c = f.ops.div(c_t, c_d)
     diff = tau - delta.scale(c)
     if diff.is_zero():
-        return Proportionality(True, c)
+        return Proportionality(True, Scalar(f, c))
     return Proportionality(False, witnesses=(diff.lead()[0],))
 
 
@@ -291,11 +329,12 @@ def eval_on_matrices(p: FreePoly, mats: list[Mat2]) -> Mat2:
     """Exact evaluation of p at concrete matrices over p's field."""
     if len(mats) != p.m:
         raise ValueError(f"expected {p.m} matrices, got {len(mats)}")
+    f = p.field
     for mt in mats:
-        if mt.field != p.field:
+        if mt.field is not f and mt.field != f:
             raise ValueError("matrix field differs from coefficient field")
     return run_plan(compile_plan(p), mats, operator.mul, operator.add, _scale,
-                    Mat2.zero(p.field), Mat2.identity(p.field))
+                    Mat2.zero(f), Mat2.identity(f))
 
 
 def random_mat2(field: FieldSpec, rng: random.Random, lo: int = 0, hi: int | None = None) -> Mat2:
@@ -303,12 +342,12 @@ def random_mat2(field: FieldSpec, rng: random.Random, lo: int = 0, hi: int | Non
     if field.char > 0:
         p = field.char
 
-        def draw() -> Scalar:
+        def draw():
             if field.degree == 1:
-                return field.from_int(rng.randrange(p))
-            return Scalar(field, (rng.randrange(p), rng.randrange(p)))
+                return rng.randrange(p)
+            return rng.randrange(p), rng.randrange(p)
 
-        return Mat2(draw(), draw(), draw(), draw())
+        return Mat2(draw(), draw(), draw(), draw(), field)
     if hi is None:
         lo, hi = -9, 9
     return Mat2.from_ints(field, rng.randint(lo, hi), rng.randint(lo, hi),
@@ -388,7 +427,7 @@ def probabilistic_probe(p: FreePoly, trials: int, prime: int = DEFAULT_PROBE_PRI
             if report.all_central:
                 report.all_central = False
                 report.witnesses.setdefault("non_central", _witness(mats, val))
-        if not val.trace().is_zero():
+        if not val.is_traceless():
             if report.all_trace_zero:
                 report.all_trace_zero = False
                 report.witnesses.setdefault("nonzero_trace", _witness(mats, val))

@@ -22,41 +22,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from polimage.fields import FieldSpec, Scalar, ScalarParseError, parse_scalar, sqrt_in_closure
+from polimage.fields import (FieldMismatchError, FieldSpec, Scalar, ScalarParseError,
+                             canonical_q, parse_scalar, sqrt_in_closure)
 
 
 class SingularMatrixError(ValueError):
     pass
 
 
+def _same_field(f: FieldSpec, g: FieldSpec):
+    if f is not g and f != g:
+        raise FieldMismatchError(f"cannot combine {f} and {g}")
+
+
 class Mat2:
-    """Dense 2x2 matrix with entries (a, b; c, d) from one FieldSpec."""
+    """Dense 2x2 matrix (a, b; c, d) of raw values of one field.
 
-    __slots__ = ("a", "b", "c", "d")
+    ``Mat2(a, b, c, d)`` takes four Scalars of one field;
+    ``Mat2(a, b, c, d, field)`` takes raw values of ``field``.  Products,
+    sums and scales choose the field's layout once per matrix operation.
+    """
 
-    def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
-        if not (a.field == b.field == c.field == d.field):
-            raise ValueError("matrix entries must share one field")
+    __slots__ = ("field", "a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d, field: FieldSpec | None = None):
+        if field is None:
+            field = a.field
+            if not (field == b.field == c.field == d.field):
+                raise ValueError("matrix entries must share one field")
+            a, b, c, d = a.val, b.val, c.val, d.val
+        self.field = field
         self.a, self.b, self.c, self.d = a, b, c, d
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.a.field
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_ints(cls, field: FieldSpec, a, b, c, d) -> "Mat2":
-        fi = field.from_int
-        return cls(fi(a), fi(b), fi(c), fi(d))
+        fi = field.ops.from_int
+        return cls(fi(a), fi(b), fi(c), fi(d), field)
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "Mat2":
-        return cls.from_ints(field, 0, 0, 0, 0)
+        z = field.ops.zero
+        return cls(z, z, z, z, field)
 
     @classmethod
     def identity(cls, field: FieldSpec) -> "Mat2":
-        return cls.from_ints(field, 1, 0, 0, 1)
+        z, one = field.ops.zero, field.ops.one
+        return cls(one, z, z, one, field)
 
     @classmethod
     def unit(cls, i: int, j: int, field: FieldSpec) -> "Mat2":
@@ -75,25 +88,46 @@ class Mat2:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        f = self.field
+        if other.field is not f:
+            _same_field(f, other.field)
+        if f.degree == 2:
+            add = f.ops.add
+            return Mat2(add(self.a, other.a), add(self.b, other.b),
+                        add(self.c, other.c), add(self.d, other.d), f)
+        p = f.char
+        if p:
+            return Mat2((self.a + other.a) % p, (self.b + other.b) % p,
+                        (self.c + other.c) % p, (self.d + other.d) % p, f)
+        return _qmat(f, self.a + other.a, self.b + other.b,
+                     self.c + other.c, self.d + other.d)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        neg = self.field.ops.neg
+        return Mat2(neg(self.a), neg(self.b), neg(self.c), neg(self.d), self.field)
+
+    def __sub__(self, other: "Mat2") -> "Mat2":
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Mat2):
-            return Mat2(
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
-            )
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
+        if type(other) is not Mat2:
+            if isinstance(other, (Scalar, int)):
+                return self.scale(other)
+            return NotImplemented
+        f = self.field
+        if other.field is not f:
+            _same_field(f, other.field)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, g, h, k = other.a, other.b, other.c, other.d
+        if f.degree == 2:
+            mul, add = f.ops.mul, f.ops.add
+            return Mat2(add(mul(a, e), mul(b, h)), add(mul(a, g), mul(b, k)),
+                        add(mul(c, e), mul(d, h)), add(mul(c, g), mul(d, k)), f)
+        p = f.char
+        if p:
+            return Mat2((a * e + b * h) % p, (a * g + b * k) % p,
+                        (c * e + d * h) % p, (c * g + d * k) % p, f)
+        return _qmat(f, a * e + b * h, a * g + b * k, c * e + d * h, c * g + d * k)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -101,9 +135,21 @@ class Mat2:
         return NotImplemented
 
     def scale(self, s) -> "Mat2":
-        if isinstance(s, int):
-            s = self.field.from_int(s)
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
+        """s times the matrix; s is a Scalar, a raw value of the field, or
+        an int read as an integer of the field."""
+        f = self.field
+        if type(s) is Scalar:
+            _same_field(f, s.field)
+            s = s.val
+        if f.degree == 2:
+            if type(s) is int:
+                s = f.ops.from_int(s)
+            mul = f.ops.mul
+            return Mat2(mul(self.a, s), mul(self.b, s), mul(self.c, s), mul(self.d, s), f)
+        p = f.char
+        if p:
+            return Mat2(self.a * s % p, self.b * s % p, self.c * s % p, self.d * s % p, f)
+        return _qmat(f, self.a * s, self.b * s, self.c * s, self.d * s)
 
     def __pow__(self, k: int) -> "Mat2":
         if k < 0:
@@ -120,42 +166,60 @@ class Mat2:
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return ((self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
 
-    # -- invariants ----------------------------------------------------------
+    # -- invariants (raw values) -------------------------------------------
 
-    def trace(self) -> Scalar:
-        return self.a + self.d
+    def trace(self):
+        return self.field.ops.add(self.a, self.d)
 
-    def det(self) -> Scalar:
-        return self.a * self.d - self.b * self.c
+    def det(self):
+        ops = self.field.ops
+        return ops.sub(ops.mul(self.a, self.d), ops.mul(self.b, self.c))
 
-    def disc(self) -> Scalar:
+    def disc(self):
         """Discriminant of the characteristic polynomial, tr^2 - 4 det."""
+        ops = self.field.ops
         t = self.trace()
-        return t * t - self.det().field.from_int(4) * self.det()
+        return ops.sub(ops.mul(t, t), ops.mul(ops.from_int(4), self.det()))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in (self.a, self.b, self.c, self.d))
+        z = self.field.ops.zero
+        return self.a == z and self.b == z and self.c == z and self.d == z
 
     def is_scalar(self) -> bool:
-        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
+        z = self.field.ops.zero
+        return self.b == z and self.c == z and self.a == self.d
+
+    def is_traceless(self) -> bool:
+        return self.trace() == self.field.ops.zero
 
     def is_nilpotent(self) -> bool:
         # Cayley-Hamilton: for 2x2 nilpotency is exactly tr = det = 0
-        return self.trace().is_zero() and self.det().is_zero()
+        z = self.field.ops.zero
+        return self.trace() == z and self.det() == z
 
     def entries_vector(self):
         return [self.a, self.b, self.c, self.d]
 
     def __str__(self):
-        return f"{self.a},{self.b};{self.c},{self.d}"
+        fmt = self.field.ops.fmt
+        return f"{fmt(self.a)},{fmt(self.b)};{fmt(self.c)},{fmt(self.d)}"
 
     def __repr__(self):
         return f"Mat2({self}, {self.field})"
+
+
+def _qmat(f: FieldSpec, a, b, c, d) -> Mat2:
+    # rational entries back in their canonical layout
+    if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+        return Mat2(a, b, c, d, f)
+    q = canonical_q
+    return Mat2(q(a), q(b), q(c), q(d), f)
 
 
 def parse_mat2(text: str, field: FieldSpec) -> Mat2:
@@ -199,11 +263,13 @@ def ratio_invariant(mat: Mat2):
     eigenvalue vanishes (det = 0, tr != 0) and UNDEFINED_RATIO on
     nilpotent matrices, where no eigenvalue ratio exists.
     """
+    f = mat.field
+    ops = f.ops
     t = mat.trace()
     d = mat.det()
-    if d.is_zero():
-        return UNDEFINED_RATIO if t.is_zero() else INFINITE_RATIO
-    return t * t / d - mat.field.from_int(2)
+    if d == ops.zero:
+        return UNDEFINED_RATIO if t == ops.zero else INFINITE_RATIO
+    return Scalar(f, ops.sub(ops.div(ops.mul(t, t), d), ops.from_int(2)))
 
 
 def ratio_key(value) -> str:
@@ -260,10 +326,9 @@ def cone_classify(mat: Mat2) -> ConeClass:
         return ConeClass(ConeKind.SCALAR)
     if mat.is_nilpotent():
         return ConeClass(ConeKind.NILPOTENT)
-    t = mat.trace()
-    if t.is_zero():
+    if mat.is_traceless():
         return ConeClass(ConeKind.TRACELESS_INVERTIBLE)
-    if mat.disc().is_zero():
+    if mat.disc() == mat.field.ops.zero:
         return ConeClass(ConeKind.SCALED_UNIPOTENT)
     return ConeClass(ConeKind.DISTINCT_EIGENVALUES, ratio_invariant(mat))
 
@@ -277,11 +342,12 @@ def similar(x: Mat2, y: Mat2) -> bool:
 
 def conjugate(mat: Mat2, g: Mat2) -> Mat2:
     """g * mat * g^-1; g must be invertible."""
+    ops = g.field.ops
     dg = g.det()
-    if dg.is_zero():
+    if dg == ops.zero:
         raise SingularMatrixError("conjugating matrix is singular")
-    adj = Mat2(g.d, -g.b, -g.c, g.a)
-    return (g * mat * adj).scale(dg.inverse())
+    adj = Mat2(g.d, ops.neg(g.b), ops.neg(g.c), g.a, g.field)
+    return (g * mat * adj).scale(ops.inv(dg))
 
 
 def eigenvalues_in_closure(mat: Mat2) -> tuple[Scalar, Scalar]:
@@ -296,16 +362,18 @@ def eigenvalues_in_closure(mat: Mat2) -> tuple[Scalar, Scalar]:
     if f.degree != 1:
         raise ValueError("matrix must live over the prime field")
     ext = f.extension()
-    t, d = mat.trace(), mat.det()
+    ops = ext.ops
+    t, d = (mat.trace(), 0), (mat.det(), 0)
     if f.char == 2:
         # quadratic formula unavailable; four candidates, test them all
-        roots = [z for z in ext.elements() if (z * z - z * t + d).is_zero()]
+        roots = [z for z in ext.raw_elements()
+                 if ops.add(ops.sub(ops.mul(z, z), ops.mul(z, t)), d) == ops.zero]
         if len(roots) == 1:
             roots = roots * 2
         assert len(roots) == 2, "char-2 quadratic must split in F_4"
     else:
-        s = sqrt_in_closure(mat.disc())
-        half = ext.from_int(2).inverse()
-        roots = [(t + s) * half, (t - s) * half]
-    roots.sort(key=lambda z: z.val)
-    return roots[0], roots[1]
+        s = sqrt_in_closure(Scalar(f, mat.disc())).val
+        half = ops.inv(ops.from_int(2))
+        roots = [ops.mul(ops.add(t, s), half), ops.mul(ops.sub(t, s), half)]
+    roots.sort()
+    return Scalar(ext, roots[0]), Scalar(ext, roots[1])

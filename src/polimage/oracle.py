@@ -24,7 +24,7 @@ from itertools import product
 from operator import getitem
 
 from polimage.classify import SpanAnomalyError, span_dimension
-from polimage.fields import FieldSpec, Scalar
+from polimage.fields import FieldSpec
 from polimage.freealg import FreePoly, capelli_poly, compile_plan, run_plan
 from polimage.matalg import Mat2, cone_classify
 from polimage.generic import eval_on_matrices, random_mat2
@@ -48,9 +48,9 @@ class EnumerationBudgetError(RuntimeError):
 class MatTable:
     """Arithmetic for int-encoded elements of M_2(F_q).
 
-    Scalar add/mul/inv tables are always built.  Full matrix add/mul/scale
-    tables are built eagerly for q <= MAX_TABLE_Q and filled lazily from
-    dict caches above that.
+    Field add/mul/inv tables over scalar indices are always built.  Full
+    matrix add/mul/scale tables are built eagerly for q <= MAX_TABLE_Q and
+    filled lazily from dict caches above that.
     """
 
     def __init__(self, field: FieldSpec):
@@ -62,12 +62,15 @@ class MatTable:
         self.field = field
         self.q = q
         self.n4 = q ** 4
-        self.scalars: list[Scalar] = list(field.elements())
-        self._sidx = {s._canon(): i for i, s in enumerate(self.scalars)}
-        self.sadd = [[self.sindex(a + b) for b in self.scalars] for a in self.scalars]
-        self.smul = [[self.sindex(a * b) for b in self.scalars] for a in self.scalars]
-        self.sneg = [self.sindex(-a) for a in self.scalars]
-        self.sinv = [None] + [self.sindex(a.inverse()) for a in self.scalars[1:]]
+        ops = field.ops
+        self.scalars = field.raw_elements()   # raw values, zero first
+        self._sidx = {s: i for i, s in enumerate(self.scalars)}
+        sx = self._sidx
+        self.sadd = [[sx[ops.add(a, b)] for b in self.scalars] for a in self.scalars]
+        self.smul = [[sx[ops.mul(a, b)] for b in self.scalars] for a in self.scalars]
+        self.sneg = [sx[ops.neg(a)] for a in self.scalars]
+        self.sinv = [None] + [sx[ops.inv(a)] for a in self.scalars[1:]]
+        self.one_idx = sx[ops.one]
         self.zero_idx = 0
         self.identity_idx = self.encode(Mat2.identity(field))
         self.units = {(i, j): self.encode(Mat2.unit(i, j, field))
@@ -81,19 +84,18 @@ class MatTable:
                        for s in range(q)]
         self._gl2: list[tuple[int, int]] | None = None
 
-    def sindex(self, s: Scalar) -> int:
-        return self._sidx[s._canon()]
+    def sindex(self, v) -> int:
+        """Index of a raw field value."""
+        return self._sidx[v]
 
     def encode(self, mt: Mat2) -> int:
-        a, b, c, d = (self.sindex(v) for v in (mt.a, mt.b, mt.c, mt.d))
-        return ((a * self.q + b) * self.q + c) * self.q + d
+        sx = self._sidx
+        return self._pack(sx[mt.a], sx[mt.b], sx[mt.c], sx[mt.d])
 
     def decode(self, x: int) -> Mat2:
-        q, s = self.q, self.scalars
-        x, d = divmod(x, q)
-        x, c = divmod(x, q)
-        a, b = divmod(x, q)
-        return Mat2(s[a], s[b], s[c], s[d])
+        s = self.scalars
+        a, b, c, d = self.digits(x)
+        return Mat2(s[a], s[b], s[c], s[d], self.field)
 
     def digits(self, x: int) -> tuple[int, int, int, int]:
         q = self.q
@@ -173,6 +175,17 @@ class MatTable:
             self._gl2 = [(g, self.inverse(g)) for g in range(self.n4)
                          if self.det_idx(g) != 0]
         return self._gl2
+
+    def generators(self) -> list[tuple[int, int]]:
+        """Generators of GL_2(F_q) with their inverses: the elementary
+        matrices 1,s;0,1 and 1,0;s,1 and the diagonal s,0;0,1, s != 0.
+        The elementary ones generate SL_2 over any field, and the diagonal
+        ones reach every determinant."""
+        one = self.one_idx
+        gens = [self._pack(one, s, 0, one) for s in range(1, self.q)]
+        gens += [self._pack(one, 0, s, one) for s in range(1, self.q)]
+        gens += [self._pack(s, 0, 0, one) for s in range(1, self.q) if s != one]
+        return [(g, self.inverse(g)) for g in gens]
 
     def conj(self, g: int, ginv: int, x: int) -> int:
         return self.mul(self.mul(g, x), ginv)
@@ -270,11 +283,10 @@ def conjugacy_reps(table: MatTable) -> list[int]:
     hence conjugate to exactly one companion matrix 0,-d;1,t.  That gives
     q + q^2 classes in total.
     """
-    field = table.field
     reps = [table.scale(s, table.identity_idx) for s in range(table.q)]
-    for t in table.scalars:
-        for d in table.scalars:
-            reps.append(table.encode(Mat2(field.zero(), -d, field.one(), t)))
+    for t in range(table.q):
+        for d in range(table.q):
+            reps.append(table._pack(0, table.sneg[d], table.one_idx, t))
     return reps
 
 
@@ -314,9 +326,17 @@ def fast_multilinear_image(p: FreePoly, field: FieldSpec,
         core = set()
         for rows in seen:
             core |= expand_span(table, rows, span_cache)
-    out = set(core)
-    for g, ginv in table.gl2():
-        out |= {table.conj(g, ginv, x) for x in core}
+    # close under conjugation by searching from core along the generators:
+    # this reaches the whole GL_2 orbit of every element of core
+    gens = table.generators()
+    out, todo = set(core), list(core)
+    while todo:
+        x = todo.pop()
+        for g, ginv in gens:
+            y = table.conj(g, ginv, x)
+            if y not in out:
+                out.add(y)
+                todo.append(y)
     return out
 
 
@@ -333,12 +353,14 @@ def _span_info(mats: list[Mat2]) -> tuple[int, str]:
 
 def check_image_invariance(image: set[int], table: MatTable) -> dict:
     """The two properties every polynomial image over M_2(F_q) must have:
-    it contains 0 (zero constant term) and is closed under conjugation."""
-    closed = True
-    for g, ginv in table.gl2():
-        if any(table.conj(g, ginv, x) not in image for x in image):
-            closed = False
-            break
+    it contains 0 (zero constant term) and is closed under conjugation.
+
+    Closure is checked on generators of GL_2(F_q) only: conjugation by g is
+    a bijection, so a finite set it maps into itself it maps onto itself,
+    and then the inverse of g and every product of generators preserve the
+    set too."""
+    closed = all(table.conj(g, ginv, x) in image
+                 for g, ginv in table.generators() for x in image)
     return {"contains_zero": 0 in image, "conjugation_closed": closed}
 
 
@@ -349,7 +371,7 @@ def scaling_closed_under(image: set[int], table: MatTable, exponent: int = 1) ->
 
 
 def pow_idx(table: MatTable, s: int, k: int) -> int:
-    out = table.sindex(table.field.one())
+    out = table.one_idx
     for _ in range(k):
         out = table.smul[out][s]
     return out
@@ -532,7 +554,8 @@ def verify_alternating_trace(field: FieldSpec, trials: int = 100,
     if field.char:
         c4 = c4.coerce(field)
     rep = AlternatingTraceReport(str(field), trials, seed)
-    two = field.from_int(2)
+    ops = field.ops
+    two = ops.from_int(2)
     for n in range(trials):
         a = [random_mat2(field, rng, -9, 9) for _ in range(4)]
         r = [random_mat2(field, rng, -9, 9) for _ in range(3)]
@@ -540,12 +563,12 @@ def verify_alternating_trace(field: FieldSpec, trials: int = 100,
         t2 = random_mat2(field, rng, -9, 9)
         base = eval_on_matrices(c4, a + r)
         s1 = _capelli_sub_sum(c4, a, r, t1)
-        if s1 != base.scale(two * t1.trace()):
+        if s1 != base.scale(ops.mul(two, t1.trace())):
             rep.matches_trace_factor = False
             rep.failures.append({"trial": n, "kind": "trace_factor",
                                  "t": str(t1)})
         ident = _capelli_sub_sum(c4, a, r, Mat2.identity(field))
-        if ident != base.scale(field.from_int(4)):
+        if ident != base.scale(ops.from_int(4)):
             rep.matches_identity_factor = False
             rep.failures.append({"trial": n, "kind": "identity_factor"})
         s2 = _capelli_sub_sum(c4, a, r, t2)

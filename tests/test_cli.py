@@ -65,11 +65,21 @@ def test_classify_deterministic_bytes(runner):
     # 1/5 has no value mod 5, nor 1/11 mod 11
     ["1/5*x1*x2*x1", "-m", "2", "--char", "5"],
     ["1/11*[x1,x2]^2*x1", "-m", "2", "--mode", "probabilistic", "--prime", "11"],
-], ids=["syntax", "char_divides_denominator", "prime_divides_denominator"])
+    # past the nesting limit, not a RecursionError traceback
+    ["(" * 3000 + "x1" + ")" * 3000, "-m", "1"],
+], ids=["syntax", "char_divides_denominator", "prime_divides_denominator",
+        "nesting_3000"])
 def test_classify_parse_error_exit_2(runner, args):
     res = invoke(runner, ["classify", *args])
     assert res.exit_code == 2
     assert payload(res)["error"]["kind"] == "bad_input"
+
+
+def test_classify_nesting_300_parses(runner):
+    text = "(" * 299 + "[x1,x2]" + ")" * 299
+    res = invoke(runner, ["classify", text, "-m", "2"])
+    assert res.exit_code == 0
+    assert payload(res)["result"]["verdict"] == "sl2"
 
 
 def test_classify_term_budget_exit_3(runner):

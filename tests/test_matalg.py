@@ -21,7 +21,7 @@ def mq(a, b, c, d):
 
 def test_parse_and_str():
     mt = parse_mat2("1,2;3,4", QQ)
-    assert (mt.a.val, mt.b.val, mt.c.val, mt.d.val) == (1, 2, 3, 4)
+    assert (mt.a, mt.b, mt.c, mt.d) == (1, 2, 3, 4)
     assert str(mt) == "1,2;3,4"
     with pytest.raises(ValueError):
         parse_mat2("1,2,3;4", QQ)
@@ -29,9 +29,9 @@ def test_parse_and_str():
 
 def test_trace_det_disc():
     mt = mq(1, 2, 3, 4)
-    assert mt.trace().val == 5
-    assert mt.det().val == -2
-    assert mt.disc().val == 33
+    assert mt.trace() == 5
+    assert mt.det() == -2
+    assert mt.disc() == 33
 
 
 def test_ratio_invariant_values():
@@ -134,8 +134,8 @@ def test_eigenvalue_product_is_det():
         ev = eigenvalues_in_closure(mat)
         prod = ev[0] * ev[1]
         total = ev[0] + ev[1]
-        assert prod.val == (mat.det().val, 0)
-        assert total.val == (mat.trace().val, 0)
+        assert prod.val == (mat.det(), 0)
+        assert total.val == (mat.trace(), 0)
 
 
 entries = st.integers(-6, 6)

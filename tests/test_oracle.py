@@ -1,11 +1,15 @@
 """Exhaustive images over tiny fields, and the two methods against each other."""
 
+import random
+from itertools import product
+
 import pytest
 
 from polimage.classify import classify_general
 from polimage.fields import FieldSpec, QQ
 from polimage.freealg import multilinearize, parse_poly, standard_poly
-from polimage.oracle import (EnumerationBudgetError, conjugacy_reps, cross_check,
+from polimage.oracle import (EnumerationBudgetError, check_image_invariance,
+                             conjugacy_reps, cross_check,
                              enumerate_image, expand_span, fast_multilinear_image,
                              get_table, naive_image, rref_rows,
                              scaling_closed_under, verify_alternating_trace)
@@ -155,3 +159,47 @@ def test_alternating_trace_identity():
 
 def test_alternating_trace_rational():
     assert verify_alternating_trace(QQ, trials=2, seed=0).ok
+
+
+def _closed_under_whole_group(image, t):
+    return all(t.conj(g, gi, x) in image for g, gi in t.gl2() for x in image)
+
+
+def test_invariance_on_generators_matches_whole_group():
+    rng = random.Random(5)
+    for field in (F2, F3, FieldSpec(2, 2), F5):
+        t = get_table(field)
+        e12 = t.units[(1, 2)]
+        # the SL_2 orbit of e12 is the whole nilpotent class only when
+        # every element is a square (q even)
+        sl2_orbit = {0} | {t.conj(g, gi, e12) for g, gi in t.gl2()
+                           if t.det_idx(g) == t.one_idx}
+        images = [naive_image(parse_poly("x1^2", 1), field),
+                  fast_multilinear_image(parse_poly("[x1,x2]", 2), field),
+                  {0, t.identity_idx}, sl2_orbit]
+        sets = list(images)
+        for image in images:
+            for _ in range(5):
+                sets.append(image | {rng.randrange(t.n4)})
+                sets.append(image - {rng.choice(sorted(image))})
+        verdicts = set()
+        for s in sets:
+            closed = check_image_invariance(s, t)["conjugation_closed"]
+            assert closed == _closed_under_whole_group(s, t), (str(field), sorted(s))
+            verdicts.add(closed)
+        assert verdicts == {True, False}
+
+
+def test_square_image_over_f7_lazy_table():
+    # q = 7 is past MAX_TABLE_Q, so products come from the lazy caches
+    t = get_table(FieldSpec(7))
+    assert t._mmul is None
+    squares = set()
+    for a, b, c, d in product(range(7), repeat=4):
+        squares.add(((a * a + b * c) % 7, (a * b + b * d) % 7,
+                     (c * a + d * c) % 7, (c * b + d * d) % 7))
+    p = parse_poly("x1^2", 1)
+    assert {t.digits(x) for x in naive_image(p, FieldSpec(7))} == squares
+    rep = enumerate_image(p, FieldSpec(7))
+    assert rep.size == len(squares) == 865
+    assert rep.contains_zero and rep.conjugation_closed
