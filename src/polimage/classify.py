@@ -91,36 +91,20 @@ def eval_on_units(p: FreePoly, units: UnitTuple, n: int = 2) -> dict[Unit, objec
             raise ValueError(f"unit e{i}{j} does not fit in M_{n}")
     add, z = p.field.ops.add, p.field.ops.zero
     cells: dict[Unit, object] = {}
-    for w, c in p.sorted_terms():
-        c = c.val
+    for w, c in p.terms.items():
         if not w:
             for k in range(1, n + 1):
-                key = (k, k)
-                s = cells.get(key)
-                v = c if s is None else add(s, c)
-                if v == z:
-                    cells.pop(key, None)
-                else:
-                    cells[key] = v
+                cells[k, k] = add(cells.get((k, k), z), c)
             continue
         row, col = units[w[0] - 1]
-        dead = False
         for idx in w[1:]:
             r2, c2 = units[idx - 1]
             if col != r2:
-                dead = True
                 break
             col = c2
-        if dead:
-            continue
-        key = (row, col)
-        s = cells.get(key)
-        v = c if s is None else add(s, c)
-        if v == z:
-            cells.pop(key, None)
         else:
-            cells[key] = v
-    return cells
+            cells[row, col] = add(cells.get((row, col), z), c)
+    return {key: v for key, v in cells.items() if v != z}
 
 
 def cells_to_mat2(cells: dict[Unit, object], field: FieldSpec) -> Mat2:
@@ -356,6 +340,16 @@ def coerce_to_char(p: FreePoly, char: int) -> FreePoly:
     return p.coerce(FieldSpec(char))
 
 
+def probe_prime(char: int, prime: int | None = None) -> int:
+    """The probe modulus: the characteristic when it is nonzero (a prime
+    given with it must equal it), otherwise prime or DEFAULT_PROBE_PRIME."""
+    if not char:
+        return DEFAULT_PROBE_PRIME if prime is None else prime
+    if prime is not None and prime != char:
+        raise ValueError(f"probe prime {prime} differs from the characteristic {char}")
+    return char
+
+
 def classify_multilinear(p: FreePoly, char: int = 0) -> ImageClass:
     """Exact image of a multilinear polynomial via its unit-evaluation span.
 
@@ -427,7 +421,7 @@ def classify_semihomogeneous(p: FreePoly, weights: tuple[int, ...], char: int = 
                              search_budget: int = DEFAULT_SEARCH_BUDGET,
                              seed: int = 0,
                              trials: int = DEFAULT_PROBE_TRIALS,
-                             prime: int = DEFAULT_PROBE_PRIME) -> ImageClass:
+                             prime: int | None = None) -> ImageClass:
     """Decision ladder for a semi-homogeneous polynomial.
 
     Order: identically zero, central, trace zero (resolved by a bounded
@@ -469,7 +463,7 @@ def classify_semihomogeneous(p: FreePoly, weights: tuple[int, ...], char: int = 
     if mode == "probabilistic":
         out = ImageClass("", assumptions=_assumptions(char, extra),
                          mode="probabilistic", seed=seed)
-        report = probabilistic_probe(q, trials, prime, seed)
+        report = probabilistic_probe(q, trials, probe_prime(char, prime), seed)
         out.probe = report.to_json()
         out.budget_consumed["probe_trials"] = trials
         out.diagnostics.append(
@@ -551,7 +545,7 @@ def classify_general(p: FreePoly, char: int = 0, mode: str = "symbolic",
                      search_budget: int = DEFAULT_SEARCH_BUDGET,
                      seed: int = 0,
                      trials: int = DEFAULT_PROBE_TRIALS,
-                     prime: int = DEFAULT_PROBE_PRIME) -> ImageClass:
+                     prime: int | None = None) -> ImageClass:
     """Route an arbitrary polynomial to the strongest applicable classifier.
 
     Multilinear inputs go to the exact span classifier regardless of mode.
@@ -559,10 +553,12 @@ def classify_general(p: FreePoly, char: int = 0, mode: str = "symbolic",
     all-positive weight vector, use the semi-homogeneous ladder.  Everything
     else falls back to classifying the top weighted part for each candidate
     weight vector: a dense (or full) top part forces a dense image, anything
-    less is reported as inconclusive.
+    less is reported as inconclusive.  Probabilistic evaluation runs over
+    F_char in positive characteristic (see :func:`probe_prime`).
     """
     if p.has_constant_term():
         raise ValueError("classification requires a zero constant term")
+    prime = probe_prime(char, prime)
     if p.coerce(FieldSpec(char)).is_multilinear() if char else p.is_multilinear():
         out = classify_multilinear(p, char)
         out.seed = seed

@@ -4,7 +4,9 @@ Every command prints a single JSON document to stdout with schema 1,
 serialized compactly with sorted keys so identical inputs give identical
 bytes; --pretty switches to indented output.  Timing goes to stderr,
 never into the JSON.  Exit codes: 0 success, 1 a verification check
-failed, 2 bad input, 3 a budget refusal, 4 a corpus mismatch.
+failed, 2 bad input, 3 a budget refusal, 4 a corpus mismatch.  Failures,
+from a malformed command line to a budget refusal deep in the engine, end
+in the same document with an "error" member (see :class:`EnvelopeGroup`).
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import time
 
 import click
 
+from polimage import __version__
 from polimage.classify import (DEFAULT_PROBE_TRIALS, DEFAULT_SEARCH_BUDGET,
                                check_euler, classify_general, euler_predict,
                                parse_units)
 from polimage.corpus import ENTRIES, run_corpus
-from polimage.fields import FieldSpec, QQ, ScalarParseError
+from polimage.fields import FieldSpec, QQ
 from polimage.freealg import (FreePoly, PolyParseError, capelli_poly, format_poly,
                               multilinearize, parse_poly, standard_poly)
 from polimage.generic import DEFAULT_PROBE_PRIME, DEFAULT_TERM_BUDGET, TermBudgetExceeded
@@ -46,8 +49,36 @@ def emit(payload: dict, command: str, pretty: bool, code: int = 0):
         sys.exit(code)
 
 
-def fail(command: str, pretty: bool, kind: str, message: str, code: int):
-    emit({"error": {"kind": kind, "message": message}}, command, pretty, code)
+class EnvelopeGroup(click.Group):
+    """The command group, ending every failure in the schema-1 envelope.
+
+    Click's usage errors (a bad option value, an unknown option or command,
+    a missing argument or option) and the engine's input and budget
+    exceptions all print {"error": {"kind", "message"}} on stdout with their
+    exit code.  "command" names the subcommand, or is null when none was
+    named; --help and --version still print text and exit 0.
+    """
+
+    def main(self, args=None, prog_name=None, standalone_mode=True, **extra):
+        # click's standalone handling is replaced here whatever the caller asks
+        args = list(sys.argv[1:] if args is None else args)
+        try:
+            return super().main(args, prog_name, standalone_mode=False, **extra)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+        except click.ClickException as e:
+            kind, code, message = "bad_input", EXIT_BAD_INPUT, e.format_message()
+        except TermBudgetExceeded as e:
+            kind, code, message = "term_budget", EXIT_BUDGET, str(e)
+        except EnumerationBudgetError as e:
+            kind, code, message = "tuple_budget", EXIT_BUDGET, str(e)
+        except ValueError as e:  # PolyParseError and ScalarParseError among them
+            kind, code, message = "bad_input", EXIT_BAD_INPUT, str(e)
+        # the group takes no option values, so its first bare word is the command
+        command = next((a for a in args if not a.startswith("-")), None)
+        emit({"error": {"kind": kind, "message": message}},
+             command if command in self.commands else None, "--pretty" in args, code)
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -99,8 +130,8 @@ def parse_weight_list(chunks: tuple[str, ...], m: int) -> list[tuple[int, ...]]:
 pretty_option = click.option("--pretty", is_flag=True, help="Indent the JSON output.")
 
 
-@click.group()
-@click.version_option(package_name="polimage")
+@click.group(cls=EnvelopeGroup)
+@click.version_option(__version__, prog_name="polimage")
 def main():
     """Classify images of noncommutative polynomials on 2x2 matrices."""
 
@@ -116,8 +147,9 @@ def main():
               help="Candidate weight vector like 2,1 (repeatable).")
 @click.option("--trials", type=int, default=DEFAULT_PROBE_TRIALS, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--prime", type=int, default=DEFAULT_PROBE_PRIME,
-              help="Modulus for probabilistic evaluation.")
+@click.option("--prime", type=int, default=None,
+              help="Modulus for probabilistic evaluation [default: the "
+                   f"characteristic if nonzero, else {DEFAULT_PROBE_PRIME}].")
 @click.option("--term-budget", type=int, default=DEFAULT_TERM_BUDGET, show_default=True)
 @click.option("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET,
               show_default=True)
@@ -126,18 +158,11 @@ def classify(text, nvars, char, mode, weights, trials, seed, prime,
              term_budget, search_budget, pretty):
     """Classify the image of a polynomial (variables x1..xm)."""
     t0 = time.monotonic()
-    try:
-        p = load_poly(text, nvars)
-        wlist = parse_weight_list(weights, p.m) if weights else None
-        result = classify_general(
-            p, char=char, mode=mode, weights=wlist, term_budget=term_budget,
-            search_budget=search_budget, seed=seed, trials=trials, prime=prime)
-    except TermBudgetExceeded as e:
-        fail("classify", pretty, "term_budget", str(e), EXIT_BUDGET)
-        return
-    except (PolyParseError, ScalarParseError, ValueError) as e:
-        fail("classify", pretty, "bad_input", str(e), EXIT_BAD_INPUT)
-        return
+    p = load_poly(text, nvars)
+    wlist = parse_weight_list(weights, p.m) if weights else None
+    result = classify_general(
+        p, char=char, mode=mode, weights=wlist, term_budget=term_budget,
+        search_budget=search_budget, seed=seed, trials=trials, prime=prime)
     click.echo(f"elapsed {time.monotonic() - t0:.3f}s", err=True)
     emit({"input": text, "m": p.m, "result": result.to_json()}, "classify", pretty)
 
@@ -156,18 +181,11 @@ def classify(text, nvars, char, mode, weights, trials, seed, prime,
 def enumerate(text, nvars, order, method, tuple_budget, elements_limit, pretty):
     """Exhaustively enumerate the image over M_2(F_q)."""
     t0 = time.monotonic()
-    try:
-        field = parse_field(order)
-        if field.char == 0:
-            raise ValueError("enumeration needs a finite field")
-        p = load_poly(text, nvars)
-        report = enumerate_image(p, field, method, tuple_budget, elements_limit)
-    except EnumerationBudgetError as e:
-        fail("enumerate", pretty, "tuple_budget", str(e), EXIT_BUDGET)
-        return
-    except (PolyParseError, ScalarParseError, ValueError) as e:
-        fail("enumerate", pretty, "bad_input", str(e), EXIT_BAD_INPUT)
-        return
+    field = parse_field(order)
+    if field.char == 0:
+        raise ValueError("enumeration needs a finite field")
+    p = load_poly(text, nvars)
+    report = enumerate_image(p, field, method, tuple_budget, elements_limit)
     click.echo(f"elapsed {report.elapsed:.3f}s "
                f"(total {time.monotonic() - t0:.3f}s)", err=True)
     emit({"input": text, "report": report.to_json()}, "enumerate", pretty)
@@ -186,12 +204,7 @@ def corpus(only, list_only, pretty):
              "corpus", pretty)
         return
     t0 = time.monotonic()
-    try:
-        names = [n.strip() for n in only.split(",")] if only else None
-        result = run_corpus(names)
-    except KeyError as e:
-        fail("corpus", pretty, "bad_input", str(e), EXIT_BAD_INPUT)
-        return
+    result = run_corpus([n.strip() for n in only.split(",")] if only else None)
     click.echo(f"elapsed {time.monotonic() - t0:.3f}s", err=True)
     emit(result, "corpus", pretty,
          code=0 if result["ok"] else EXIT_CORPUS_MISMATCH)
@@ -204,12 +217,8 @@ def corpus(only, list_only, pretty):
 @pretty_option
 def cone(matrix, field_name, pretty):
     """Cone position and invariants of one matrix, written a,b;c,d."""
-    try:
-        field = parse_field(field_name)
-        mt = parse_mat2(matrix, field)
-    except (ScalarParseError, ValueError) as e:
-        fail("cone", pretty, "bad_input", str(e), EXIT_BAD_INPUT)
-        return
+    field = parse_field(field_name)
+    mt = parse_mat2(matrix, field)
     cls = cone_classify(mt)
     fmt = field.ops.fmt
     payload = {
@@ -227,17 +236,13 @@ def cone(matrix, field_name, pretty):
 @pretty_option
 def euler(units, poly, nvars, pretty):
     """Trail verdict for a matrix-unit tuple like e11,e12."""
-    try:
-        tup = parse_units(units)
-        payload = {"units": units, "verdict": euler_predict(tup).to_json()}
-        if poly is not None:
-            p = load_poly(poly, nvars if nvars is not None else len(tup))
-            if len(tup) != p.m:
-                raise ValueError(f"{p.m} variables but {len(tup)} units")
-            payload["consistent"] = check_euler(p, tup)
-    except (PolyParseError, ScalarParseError, ValueError) as e:
-        fail("euler", pretty, "bad_input", str(e), EXIT_BAD_INPUT)
-        return
+    tup = parse_units(units)
+    payload = {"units": units, "verdict": euler_predict(tup).to_json()}
+    if poly is not None:
+        p = load_poly(poly, nvars if nvars is not None else len(tup))
+        if len(tup) != p.m:
+            raise ValueError(f"{p.m} variables but {len(tup)} units")
+        payload["consistent"] = check_euler(p, tup)
     emit(payload, "euler", pretty)
 
 
@@ -249,12 +254,7 @@ def euler(units, poly, nvars, pretty):
 def verify(field_name, trials, seed, pretty):
     """Check the alternating substitution-sum identity on random data."""
     t0 = time.monotonic()
-    try:
-        field = parse_field(field_name)
-        report = verify_alternating_trace(field, trials, seed)
-    except ValueError as e:
-        fail("verify", pretty, "bad_input", str(e), EXIT_BAD_INPUT)
-        return
+    report = verify_alternating_trace(parse_field(field_name), trials, seed)
     click.echo(f"elapsed {time.monotonic() - t0:.3f}s", err=True)
     emit({"report": report.to_json()}, "verify", pretty,
          code=0 if report.ok else EXIT_CHECK_FAILED)
@@ -266,16 +266,13 @@ def verify(field_name, trials, seed, pretty):
 @pretty_option
 def linearize(text, nvars, pretty):
     """Full multilinearization of a homogeneous polynomial."""
-    try:
-        p = load_poly(text, nvars)
-        lin = multilinearize(p)
-        factor = 1
-        for d in p.multidegree(next(w for w, _ in p.sorted_terms())):
-            factor *= math.factorial(d)
-    except (PolyParseError, ScalarParseError, ValueError, StopIteration) as e:
-        fail("linearize", pretty, "bad_input", str(e) or "empty polynomial",
-             EXIT_BAD_INPUT)
-        return
+    p = load_poly(text, nvars)
+    if p.is_zero():
+        raise ValueError("empty polynomial")
+    lin = multilinearize(p)
+    factor = 1
+    for d in p.multidegree(p.sorted_terms()[0][0]):
+        factor *= math.factorial(d)
     emit({"input": text, "m": p.m, "linearized": format_poly(lin),
           "m_out": lin.m, "back_substitution_factor": factor},
          "linearize", pretty)

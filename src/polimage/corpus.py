@@ -133,11 +133,16 @@ ENTRIES: list[CorpusEntry] = [
 ]
 
 
+class UnknownEntryError(KeyError, ValueError):
+    """No corpus entry has the requested name; a ValueError too, so the
+    command line reports it as bad input."""
+
+
 def entry_by_name(name: str) -> CorpusEntry:
     for e in ENTRIES:
         if e.name == name:
             return e
-    raise KeyError(f"no corpus entry named {name!r}")
+    raise UnknownEntryError(f"no corpus entry named {name!r}")
 
 
 def build_poly(entry: CorpusEntry) -> FreePoly:

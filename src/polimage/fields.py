@@ -11,8 +11,15 @@ on them:
             quadratic non-residue mod p for odd p, and t^2 + t + 1 = 0
             for p = 2 (so F_4)
 
-Matrices and commutative polynomials hold raw values; :class:`Scalar` boxes
-one value with its field where single elements cross an interface.
+Matrices and polynomials hold raw values; :class:`Scalar` boxes one value
+with its field where single elements cross an interface.
+
+:class:`SparsePoly` is the one sparse-polynomial kernel: a map from
+monomial keys to nonzero raw values.  Its two rings differ only in the key:
+the free algebra keys a term by its word (a tuple), the commutative ring by
+its exponent vector packed into one int.  Both multiply monomials with
+``+`` (concatenation, or digit-wise exponent addition), so one add loop and
+one mul loop serve both.
 """
 
 from __future__ import annotations
@@ -405,6 +412,152 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self}, {self.field})"
+
+
+class TermBudgetExceeded(RuntimeError):
+    """Symbolic expansion crossed the stored-monomial budget."""
+
+    def __init__(self, count: int, budget: int):
+        super().__init__(
+            f"symbolic expansion reached {count} monomials (budget {budget}); "
+            "rerun in probabilistic mode")
+        self.count = count
+        self.budget = budget
+
+
+def _q_terms(terms: dict) -> dict:
+    # rational coefficients back in their canonical layout (int when integral)
+    for k, c in terms.items():
+        if type(c) is not int:
+            terms[k] = canonical_q(c)
+    return terms
+
+
+class SparsePoly:
+    """Monomial keys mapped to nonzero raw values of ``field``, in ``nvars``
+    variables; treated as immutable once built.
+
+    Keys multiply with ``+``.  Each sum and product picks the field's
+    layout once: pairs go through ``field.ops``, F_p values through Python's
+    operators and ``% p``, Q values through Python's operators with the
+    canonical int/Fraction layout restored at the end.
+    """
+
+    __slots__ = ("nvars", "field", "terms")
+
+    def __init__(self, nvars: int, field: FieldSpec, terms: dict | None = None):
+        self.nvars = nvars
+        self.field = field
+        z = field.ops.zero
+        self.terms = {k: c for k, c in terms.items() if c != z} if terms else {}
+
+    @classmethod
+    def zero(cls, nvars: int, field: FieldSpec = QQ):
+        return cls(nvars, field)
+
+    def _like(self, terms: dict):
+        # a polynomial of the same kind, size and field holding nonzero terms
+        out = type(self)(self.nvars, self.field)
+        out.terms = terms
+        return out
+
+    def _check(self, other: "SparsePoly"):
+        if other.nvars != self.nvars or (other.field is not self.field
+                                         and other.field != self.field):
+            raise ValueError("operands disagree on variable count or field")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        f = self.field
+        p, pairs, add, z = f.char, f.degree == 2, f.ops.add, f.ops.zero
+        out = dict(self.terms)
+        get, pop = out.get, out.pop
+        for k, c in other.terms.items():
+            s = get(k)
+            if s is not None:
+                if pairs:
+                    c = add(s, c)
+                else:
+                    c = (s + c) % p if p else s + c
+                if c == z:
+                    pop(k)
+                    continue
+            out[k] = c
+        return self._like(out if p else _q_terms(out))
+
+    def __neg__(self):
+        neg = self.field.ops.neg
+        return self._like({k: neg(c) for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def mul(self, other, budget: int | None = None):
+        """The product; raises TermBudgetExceeded once it holds more than
+        budget terms."""
+        self._check(other)
+        f = self.field
+        p, pairs, mul, add, z = f.char, f.degree == 2, f.ops.mul, f.ops.add, f.ops.zero
+        out: dict = {}
+        get, pop = out.get, out.pop
+        items = other.terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in items:
+                k = k1 + k2
+                s = get(k)
+                if pairs:
+                    c = mul(c1, c2) if s is None else add(s, mul(c1, c2))
+                else:
+                    c = c1 * c2 if s is None else s + c1 * c2
+                    if p:
+                        c %= p
+                # a product of nonzero field elements is nonzero, so only a
+                # sum with an earlier term can cancel
+                if c != z:
+                    out[k] = c
+                else:
+                    pop(k)
+            if budget is not None and len(out) > budget:
+                raise TermBudgetExceeded(len(out), budget)
+        return self._like(out if p else _q_terms(out))
+
+    def scale(self, c):
+        """c times the polynomial; c is a Scalar, an int or Fraction read in
+        the field, or a raw value of the field."""
+        ops = self.field.ops
+        if type(c) is Scalar:
+            c = c.val
+        elif type(c) is int:
+            c = ops.from_int(c)
+        elif type(c) is Fraction:
+            c = ops.from_fraction(c)
+        if c == ops.zero:
+            return self._like({})
+        mul = ops.mul
+        return self._like({k: mul(v, c) for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, SparsePoly):
+            return self.mul(other)
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.nvars == other.nvars and self.field == other.field and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, self.field, frozenset(self.terms.items())))
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:

@@ -1,7 +1,9 @@
 """Noncommutative polynomials in x1..xm with exact coefficients.
 
 A polynomial is a finite map from words (tuples of 1-based variable indices)
-to nonzero scalars.  Words multiply by concatenation; nothing commutes.
+to nonzero raw values of its field: the sparse-polynomial kernel of
+:mod:`polimage.fields` keyed by words, which multiply by concatenation
+(``w1 + w2``); nothing commutes.
 The text format understood by :func:`parse_poly` is
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from polimage.fields import FieldSpec, QQ, Scalar
+from polimage.fields import FieldSpec, QQ, SparsePoly
 
 Word = tuple[int, ...]
 
@@ -45,98 +47,35 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _word_key(w: Word):
-    return (len(w), w)
+class FreePoly(SparsePoly):
+    """Words mapped to nonzero raw coefficients of ``field``: the kernel's
+    polynomial keyed by words, which multiply by concatenation.  Its
+    evaluation plan is compiled once and kept."""
 
+    __slots__ = ("_plan",)
 
-class FreePoly:
-    """Words mapped to nonzero Scalar coefficients; treated as immutable once
-    built, so its evaluation plan is compiled once and kept."""
-
-    __slots__ = ("m", "field", "terms", "_plan")
-
-    def __init__(self, m: int, field: FieldSpec, terms: dict[Word, Scalar] | None = None):
+    def __init__(self, m: int, field: FieldSpec, terms: dict[Word, object] | None = None):
         if m < 0:
             raise ValueError("variable count must be >= 0")
-        self.m = m
-        self.field = field
+        super().__init__(m, field, terms)
         self._plan = None
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self.terms[w] = c
+
+    @property
+    def m(self) -> int:
+        return self.nvars
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, m: int, field: FieldSpec = QQ) -> "FreePoly":
-        return cls(m, field)
-
-    @classmethod
-    def constant(cls, c: Scalar, m: int) -> "FreePoly":
-        return cls(m, c.field, {(): c})
+    def constant(cls, c, m: int, field: FieldSpec = QQ) -> "FreePoly":
+        """The constant polynomial of the raw value c."""
+        return cls(m, field, {(): c})
 
     @classmethod
     def variable(cls, i: int, m: int, field: FieldSpec = QQ) -> "FreePoly":
         if not 1 <= i <= m:
             raise ValueError(f"variable x{i} out of range for m={m}")
-        return cls(m, field, {(i,): field.one()})
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check(self, other: "FreePoly"):
-        if self.m != other.m or self.field != other.field:
-            raise ValueError("operands disagree on variable count or field")
-
-    def __add__(self, other: "FreePoly") -> "FreePoly":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = c
-        return FreePoly(self.m, self.field, out)
-
-    def __neg__(self) -> "FreePoly":
-        return FreePoly(self.m, self.field, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        out: dict[Word, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                c = c if s is None else s + c
-                if c.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = c
-        return FreePoly(self.m, self.field, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "FreePoly":
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        elif isinstance(c, Fraction):
-            c = self.field.from_fraction(c)
-        if c.is_zero():
-            return FreePoly.zero(self.m, self.field)
-        return FreePoly(self.m, self.field, {w: k * c for w, k in self.terms.items()})
+        return cls(m, field, {(i,): field.ops.one})
 
     def __pow__(self, k: int) -> "FreePoly":
         if k < 1:
@@ -146,22 +85,11 @@ class FreePoly:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return self.m == other.m and self.field == other.field and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.m, self.field, frozenset(self.terms.items())))
-
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Word, Scalar]]:
+    def sorted_terms(self) -> list[tuple[Word, object]]:
         """Terms in the canonical (length, lexicographic) word order."""
-        return sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def has_constant_term(self) -> bool:
         return () in self.terms
@@ -190,15 +118,15 @@ class FreePoly:
                 return self
             out = {}
             for w, c in self.terms.items():
-                if c.val.denominator % field.char == 0:
+                if c.denominator % field.char == 0:
                     raise ValueError(f"coefficient {c} has no value in "
                                      f"characteristic {field.char}")
-                out[w] = field.from_fraction(c.val)
+                out[w] = field.ops.from_fraction(c)
             return FreePoly(self.m, field, out)
         if field.char != self.field.char:
             raise ValueError(f"cannot move coefficients from {self.field} to {field}")
         if self.field.degree == 1 and field.degree == 2:
-            return FreePoly(self.m, field, {w: Scalar(field, (c.val, 0)) for w, c in self.terms.items()})
+            return FreePoly(self.m, field, {w: (c, 0) for w, c in self.terms.items()})
         raise ValueError(f"cannot move coefficients from {self.field} to {field}")
 
     def __str__(self):
@@ -234,9 +162,9 @@ def compile_plan(p: FreePoly) -> list[Step]:
                 break
             keep += 1
         if keep:
-            plan.append((keep, None, tuple(i - 1 for i in w[keep:]), c.val))
+            plan.append((keep, None, tuple(i - 1 for i in w[keep:]), c))
         else:
-            plan.append((0, w[0] - 1 if w else None, tuple(i - 1 for i in w[1:]), c.val))
+            plan.append((0, w[0] - 1 if w else None, tuple(i - 1 for i in w[1:]), c))
         prev = w
     p._plan = plan
     return plan
@@ -269,20 +197,14 @@ def run_plan(plan: list[Step], args, mul, add, scale, zero, one):
 # -- text format -------------------------------------------------------------
 
 
-def _coeff_str(c: Scalar) -> str:
-    s = str(c)
-    if "+" in s[1:] or "*" in s:
-        return f"({s})"  # extension coefficients are not round-trippable
-    return s
-
-
 def format_poly(p: FreePoly) -> str:
     if p.is_zero():
         return "0"
+    fmt, one = p.field.ops.fmt, p.field.ops.one
     chunks: list[str] = []
     for w, c in p.sorted_terms():
         neg = False
-        if p.field.char == 0 and c.val < 0:
+        if p.field.char == 0 and c < 0:
             neg, c = True, -c
         factors = []
         run_var, run_len = None, 0
@@ -293,11 +215,13 @@ def format_poly(p: FreePoly) -> str:
             if run_var is not None:
                 factors.append(f"x{run_var}" if run_len == 1 else f"x{run_var}^{run_len}")
             run_var, run_len = i, 1
-        body = "*".join(factors)
+        body, cs = "*".join(factors), fmt(c)
+        if "+" in cs[1:] or "*" in cs:
+            cs = f"({cs})"  # extension coefficients are not round-trippable
         if not body:
-            body = _coeff_str(c)
-        elif not c.is_one():
-            body = f"{_coeff_str(c)}*{body}"
+            body = cs
+        elif c != one:
+            body = f"{cs}*{body}"
         if not chunks:
             chunks.append(f"-{body}" if neg else body)
         else:
@@ -363,7 +287,7 @@ class _Parser:
             coeff = self.coefficient()
             if coeff is not None and self.peek() != "*":
                 # bare constant term
-                t = FreePoly.constant(self.field.from_fraction(coeff), self.m)
+                t = FreePoly.constant(self.field.ops.from_fraction(coeff), self.m, self.field)
             else:
                 if coeff is not None:
                     self.pos += 1
@@ -571,7 +495,7 @@ def weighted_parts(p: FreePoly, weights: tuple[int, ...]) -> list[tuple[int, Fre
     """Split p into its weighted-degree components, ascending by degree."""
     if len(weights) != p.m:
         raise ValueError(f"weight vector length {len(weights)} != {p.m} variables")
-    buckets: dict[int, dict[Word, Scalar]] = {}
+    buckets: dict[int, dict[Word, object]] = {}
     for w, c in p.terms.items():
         buckets.setdefault(weighted_degree(w, weights), {})[w] = c
     return [(d, FreePoly(p.m, p.field, t)) for d, t in sorted(buckets.items())]
@@ -603,7 +527,9 @@ def multilinearize(p: FreePoly) -> FreePoly:
     for d in degs:
         offsets.append(total)
         total += d
-    out: dict[Word, Scalar] = {}
+    # a fresh word names its original word (each fresh variable's block) and
+    # its assignment, so no two contributions share a word and none cancel
+    out: dict[Word, object] = {}
     for w, c in p.terms.items():
         positions: dict[int, list[int]] = {}
         for pos, var in enumerate(w):
@@ -614,13 +540,7 @@ def multilinearize(p: FreePoly) -> FreePoly:
             for var, perm in zip(variables, assignment):
                 for occ, pos in enumerate(positions[var]):
                     new_word[pos] = offsets[var - 1] + perm[occ] + 1
-            key = tuple(new_word)
-            s = out.get(key)
-            v = c if s is None else s + c
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            out[tuple(new_word)] = c
     return FreePoly(total, p.field, out)
 
 
@@ -647,11 +567,11 @@ def standard_poly(k: int, field: FieldSpec = QQ) -> FreePoly:
     """Alternating sum over all orderings of x1..xk."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    terms: dict[Word, Scalar] = {}
-    one = field.one()
+    terms: dict[Word, object] = {}
+    one, minus = field.ops.one, field.ops.from_int(-1)
     for perm in permutations(range(k)):
         word = tuple(i + 1 for i in perm)
-        terms[word] = one if _perm_sign(perm) == 1 else -one
+        terms[word] = one if _perm_sign(perm) == 1 else minus
     return FreePoly(k, field, terms)
 
 
@@ -664,13 +584,13 @@ def capelli_poly(t: int, field: FieldSpec = QQ) -> FreePoly:
     if t < 1:
         raise ValueError("t must be >= 1")
     m = 2 * t - 1
-    terms: dict[Word, Scalar] = {}
-    one = field.one()
+    terms: dict[Word, object] = {}
+    one, minus = field.ops.one, field.ops.from_int(-1)
     for perm in permutations(range(t)):
         word: list[int] = []
         for slot, i in enumerate(perm):
             word.append(i + 1)
             if slot < t - 1:
                 word.append(t + slot + 1)
-        terms[tuple(word)] = one if _perm_sign(perm) == 1 else -one
+        terms[tuple(word)] = one if _perm_sign(perm) == 1 else minus
     return FreePoly(m, field, terms)

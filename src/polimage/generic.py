@@ -2,20 +2,22 @@
 
 The generic evaluation substitutes an independent commutative indeterminate
 for each of the 4m matrix entries, giving exact polynomial entries whose
-vanishing/centrality can be decided symbolically.  Symbolic work is capped
-by a stored-monomial budget; past it callers are expected to fall back to
-seeded probabilistic evaluation, whose per-trial false-negative bound is
-reported explicitly.
+vanishing/centrality can be decided symbolically.  The entries are
+:class:`ComPoly`: the sparse-polynomial kernel of :mod:`polimage.fields`
+keyed by exponent vectors packed into one int (Kronecker substitution), so
+monomials multiply with ``+``; exponents are decoded only where they are
+shown.  Symbolic work is capped by a stored-monomial budget; past it
+callers are expected to fall back to seeded probabilistic evaluation, whose
+per-trial false-negative bound is reported explicitly.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from operator import add as _add
 from dataclasses import dataclass, field as dc_field
 
-from polimage.fields import FieldSpec, QQ, Scalar, canonical_q
+from polimage.fields import FieldSpec, Scalar, SparsePoly, TermBudgetExceeded
 from polimage.freealg import FreePoly, compile_plan, run_plan
 from polimage.matalg import Mat2, ConeKind, cone_classify, ratio_invariant, ratio_key
 
@@ -23,141 +25,44 @@ DEFAULT_TERM_BUDGET = 10 ** 6
 DEFAULT_PROBE_PRIME = 2 ** 31 - 1
 
 
-class TermBudgetExceeded(RuntimeError):
-    """Symbolic expansion crossed the stored-monomial budget."""
-
-    def __init__(self, count: int, budget: int):
-        super().__init__(
-            f"symbolic expansion reached {count} monomials (budget {budget}); "
-            "rerun in probabilistic mode")
-        self.count = count
-        self.budget = budget
-
-
 Expo = tuple[int, ...]
 
+# bits per exponent digit of a packed monomial; packing is exact while every
+# degree stays below 2 ** WIDTH
+WIDTH = 8
 
-class ComPoly:
-    """Sparse commutative polynomial: exponent vector -> nonzero raw
-    coefficient of ``field``."""
 
-    __slots__ = ("nvars", "field", "terms")
+def pack(e: Expo) -> int:
+    """The exponent vector as one int: the total degree in the top digit,
+    then e_0 .. e_{n-1}, WIDTH bits each.  Adding two packed monomials adds
+    their exponents, and int order is the graded lexicographic order."""
+    k = sum(e)
+    for x in e:
+        k = k << WIDTH | x
+    return k
 
-    def __init__(self, nvars: int, field: FieldSpec, terms: dict[Expo, object] | None = None):
-        self.nvars = nvars
-        self.field = field
-        z = field.ops.zero
-        self.terms = {e: c for e, c in terms.items() if c != z} if terms else {}
 
-    @classmethod
-    def zero(cls, nvars: int, field: FieldSpec) -> "ComPoly":
-        return cls(nvars, field)
+def unpack(k: int, nvars: int) -> Expo:
+    mask = (1 << WIDTH) - 1
+    return tuple(k >> (WIDTH * (nvars - 1 - i)) & mask for i in range(nvars))
 
-    @classmethod
-    def constant(cls, c: Scalar, nvars: int) -> "ComPoly":
-        return cls(nvars, c.field, {(0,) * nvars: c.val})
+
+class ComPoly(SparsePoly):
+    """Sparse commutative polynomial in ``nvars`` indeterminates: the kernel's
+    polynomial keyed by packed exponent vectors (see :func:`pack`)."""
+
+    __slots__ = ()
 
     @classmethod
     def variable(cls, i: int, nvars: int, field: FieldSpec) -> "ComPoly":
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, field, {e: field.ops.one})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, ComPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.field == other.field and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, self.field, frozenset(self.terms.items())))
-
-    def __add__(self, other: "ComPoly") -> "ComPoly":
-        f = self.field
-        p, pairs, add, z = f.char, f.degree == 2, f.ops.add, f.ops.zero
-        out = dict(self.terms)
-        get, pop = out.get, out.pop
-        for e, c in other.terms.items():
-            s = get(e)
-            if s is not None:
-                if pairs:
-                    c = add(s, c)
-                else:
-                    c = (s + c) % p if p else s + c
-                if c == z:
-                    pop(e)
-                    continue
-            out[e] = c
-        return ComPoly(self.nvars, f, out if p else _q_terms(out))
-
-    def __neg__(self) -> "ComPoly":
-        neg = self.field.ops.neg
-        return ComPoly(self.nvars, self.field, {e: neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other: "ComPoly") -> "ComPoly":
-        return self + (-other)
-
-    def mul(self, other: "ComPoly", budget: int | None = None) -> "ComPoly":
-        # the field's layout is chosen once per product: pairs go through
-        # the ops object, ints and Fractions through Python's own operators
-        f = self.field
-        p, pairs, mul, add, z = f.char, f.degree == 2, f.ops.mul, f.ops.add, f.ops.zero
-        out: dict[Expo, object] = {}
-        get, pop = out.get, out.pop
-        items = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in items:
-                e = tuple(map(_add, e1, e2))
-                s = get(e)
-                if pairs:
-                    c = mul(c1, c2) if s is None else add(s, mul(c1, c2))
-                else:
-                    c = c1 * c2 if s is None else s + c1 * c2
-                    if p:
-                        c %= p
-                # a product of nonzero field elements is nonzero, so only a
-                # sum with an earlier term can cancel
-                if c != z:
-                    out[e] = c
-                else:
-                    pop(e)
-            if budget is not None and len(out) > budget:
-                raise TermBudgetExceeded(len(out), budget)
-        return ComPoly(self.nvars, f, out if p else _q_terms(out))
-
-    def __mul__(self, other):
-        if isinstance(other, ComPoly):
-            return self.mul(other)
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "ComPoly":
-        """c times the polynomial; c is a Scalar, a raw value of the field,
-        or an int read as an integer of the field."""
-        f = self.field
-        ops = f.ops
-        if type(c) is Scalar:
-            c = c.val
-        elif type(c) is int:
-            c = ops.from_int(c)
-        if c == ops.zero:
-            return ComPoly.zero(self.nvars, f)
-        mul = ops.mul
-        return ComPoly(self.nvars, f, {e: mul(k, c) for e, k in self.terms.items()})
+        return cls(nvars, field, {pack(tuple(int(j == i) for j in range(nvars))): field.ops.one})
 
     def lead(self) -> tuple[Expo, object]:
         """Leading term under graded lexicographic order; zero poly raises."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
+        k = max(self.terms)
+        return unpack(k, self.nvars), self.terms[k]
 
     def evaluate(self, point: list) -> object:
         """The value at a point of raw field values."""
@@ -165,10 +70,10 @@ class ComPoly:
             raise ValueError(f"expected {self.nvars} coordinates")
         ops = self.field.ops
         acc = ops.zero
-        for e, c in self.terms.items():
+        for k, c in self.terms.items():
             v = c
-            for x, k in zip(point, e):
-                for _ in range(k):
+            for x, d in zip(point, unpack(k, self.nvars)):
+                for _ in range(d):
                     v = ops.mul(v, x)
             acc = ops.add(acc, v)
         return acc
@@ -178,22 +83,14 @@ class ComPoly:
             return "0"
         fmt = self.field.ops.fmt
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            mono = "*".join(f"u{i}^{k}" if k > 1 else f"u{i}"
-                            for i, k in enumerate(e) if k)
-            c = fmt(self.terms[e])
+        for k in sorted(self.terms):
+            mono = "*".join(f"u{i}^{d}" if d > 1 else f"u{i}"
+                            for i, d in enumerate(unpack(k, self.nvars)) if d)
+            c = fmt(self.terms[k])
             bits.append(c if not mono else f"{c}*{mono}")
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-def _q_terms(terms: dict) -> dict:
-    # rational coefficients back in their canonical layout (int when integral)
-    for e, c in terms.items():
-        if type(c) is not int:
-            terms[e] = canonical_q(c)
-    return terms
 
 
 class GenericMat:
@@ -249,12 +146,17 @@ def generic_eval(p: FreePoly, budget: int = DEFAULT_TERM_BUDGET) -> GenericMat:
     Products are formed left to right, a prefix shared with the previous
     word only once, with collection after every product; a constant term
     contributes c*I.  Raises TermBudgetExceeded as soon as
-    any intermediate entry grows past the budget.
+    any intermediate entry grows past the budget, and ValueError up front
+    when 2 * deg(p), the degree of tr^2 and det, does not fit a packed
+    exponent digit.
     """
+    if 2 * p.degree() >= 1 << WIDTH:
+        raise ValueError(f"degree {p.degree()} is too high for generic evaluation: "
+                         f"tr^2 and det need twice it below {1 << WIDTH}")
     nvars = 4 * p.m
     gens = [GenericMat.generic(i, nvars, p.field) for i in range(p.m)]
     z = ComPoly.zero(nvars, p.field)
-    one = ComPoly.constant(p.field.one(), nvars)
+    one = ComPoly(nvars, p.field, {0: p.field.ops.one})
 
     def add(acc: GenericMat, term: GenericMat) -> GenericMat:
         acc = acc.add(term)

@@ -549,6 +549,8 @@ def verify_alternating_trace(field: FieldSpec, trials: int = 100,
     Also checks T = I (factor 4) and additivity in T, which together pin
     the left-multiplication trace model rather than a lucky coincidence.
     """
+    if trials < 1:
+        raise ValueError("at least one trial required")
     rng = random.Random(seed)
     c4 = capelli_poly(4)
     if field.char:

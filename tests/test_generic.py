@@ -137,7 +137,7 @@ entries = st.lists(st.integers(-4, 4), min_size=8, max_size=8)
 @given(word_lists, entries)
 @example({(1, 2): 1, (2, 1): -1}, [1, 2, 0, 1, 0, 1, 1, 1])
 def test_generic_agrees_with_concrete_commutator(terms, ints):
-    p = FreePoly(2, QQ, {w: QQ.from_int(c) for w, c in terms.items()})
+    p = FreePoly(2, QQ, dict(terms))
     x, y = Mat2.from_ints(QQ, *ints[:4]), Mat2.from_ints(QQ, *ints[4:])
     want = plain_eval(p, [x, y], Mat2.zero(QQ), Mat2.identity(QQ))
     assert eval_on_matrices(p, [x, y]) == want
