@@ -30,10 +30,10 @@ of the requested characteristic:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from itertools import islice, product
 
-from polimage.fields import FieldSpec, QQ
+from polimage.fields import FieldSpec, QQ, row_reduce
 from polimage.freealg import (FreePoly, infer_weights, parse_poly,
                               semi_homogeneous_check, weighted_parts)
 from polimage.generic import (DEFAULT_PROBE_PRIME, DEFAULT_TERM_BUDGET,
@@ -229,33 +229,14 @@ def span_dimension(mats: list[Mat2]) -> SpanResult:
     The basis keeps the first spanning elements in input order, so unit
     evaluations produce a reproducible basis.
     """
-    rows: list[list] = []   # reduced rows of raw values, in echelon shape
-    pivots: list[int] = []
-    basis: list[Mat2] = []
-    for mt in mats:
-        ops = mt.field.ops
-        sub, mul, z = ops.sub, ops.mul, ops.zero
-        vec = mt.entries_vector()
-        for row, piv in zip(rows, pivots):
-            f = vec[piv]
-            if f != z:
-                vec = [sub(a, mul(f, b)) for a, b in zip(vec, row)]
-        lead = next((k for k, v in enumerate(vec) if v != z), None)
-        if lead is None:
-            continue
-        inv = ops.inv(vec[lead])
-        rows.append([mul(v, inv) for v in vec])
-        pivots.append(lead)
-        basis.append(mt)
-        if len(rows) == 4:
-            break
-    dim = len(rows)
+    ops = (mats[0].field if mats else QQ).ops
+    rows, _, raised = row_reduce((mt.entries_vector() for mt in mats), ops)
+    basis = [mats[i] for i in raised]
+    dim, z = len(rows), ops.zero
     if dim == 0:
         return SpanResult(0, [], "zero")
     if dim == 4:
         return SpanResult(4, basis, "full")
-    ops = basis[0].field.ops
-    z = ops.zero
     if dim == 1:
         v = rows[0]
         if v[1] == z and v[2] == z and v[0] == v[3] and v[0] != z:
@@ -296,20 +277,8 @@ class ImageClass:
     probe: dict | None = None
 
     def to_json(self):
-        out = {
-            "verdict": self.verdict,
-            "assumptions": self.assumptions,
-            "witnesses": self.witnesses,
-            "mode": self.mode,
-            "seed": self.seed,
-            "budget_consumed": self.budget_consumed,
-            "diagnostics": list(self.diagnostics),
-        }
-        if self.note is not None:
-            out["note"] = self.note
-        if self.probe is not None:
-            out["probe"] = self.probe
-        return out
+        return {k: v for k, v in asdict(self).items()
+                if v is not None or k not in ("note", "probe")}
 
 
 def _assumptions(char: int, extra: dict | None = None) -> dict:

@@ -204,7 +204,7 @@ def corpus(only, list_only, pretty):
              "corpus", pretty)
         return
     t0 = time.monotonic()
-    result = run_corpus([n.strip() for n in only.split(",")] if only else None)
+    result = run_corpus(None if only is None else [n.strip() for n in only.split(",")])
     click.echo(f"elapsed {time.monotonic() - t0:.3f}s", err=True)
     emit(result, "corpus", pretty,
          code=0 if result["ok"] else EXIT_CORPUS_MISMATCH)

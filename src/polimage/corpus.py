@@ -216,7 +216,7 @@ def _all_ok(node) -> bool:
 
 
 def run_corpus(names: list[str] | None = None) -> dict:
-    chosen = ENTRIES if not names else [entry_by_name(n) for n in names]
+    chosen = ENTRIES if names is None else [entry_by_name(n) for n in names]
     results = [run_entry(e) for e in chosen]
     return {"entries": results, "total": len(results),
             "mismatches": [r["name"] for r in results if not r["ok"]],

@@ -14,6 +14,9 @@ on them:
 Matrices and polynomials hold raw values; :class:`Scalar` boxes one value
 with its field where single elements cross an interface.
 
+:func:`row_reduce` is the one row reduction over a field's ``ops``; the span
+of 2x2 values (classify) and the weight null space (freealg) both use it.
+
 :class:`SparsePoly` is the one sparse-polynomial kernel: a map from
 monomial keys to nonzero raw values.  Its two rings differ only in the key:
 the free algebra keys a term by its word (a tuple), the commutative ring by
@@ -340,16 +343,6 @@ class Scalar:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Scalar(self.field, self.field.ops.neg(self.val))
-
-    def __sub__(self, other):
-        v = self._raw(other)
-        return NotImplemented if v is None else Scalar(self.field, self.field.ops.sub(self.val, v))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         v = self._raw(other)
         return NotImplemented if v is None else Scalar(self.field, self.field.ops.mul(self.val, v))
@@ -364,9 +357,6 @@ class Scalar:
     def __truediv__(self, other):
         v = self._raw(other)
         return NotImplemented if v is None else Scalar(self.field, self.field.ops.div(self.val, v))
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -395,11 +385,6 @@ class Scalar:
         return (self.field.char, self.val, 0)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            try:
-                other = self.field.from_fraction(other)
-            except ZeroDivisionError:
-                return NotImplemented
         if not isinstance(other, Scalar):
             return NotImplemented
         return self._key() == other._key()
@@ -414,15 +399,50 @@ class Scalar:
         return f"Scalar({self}, {self.field})"
 
 
-class TermBudgetExceeded(RuntimeError):
-    """Symbolic expansion crossed the stored-monomial budget."""
+DEFAULT_TERM_BUDGET = 10 ** 6
 
-    def __init__(self, count: int, budget: int):
-        super().__init__(
-            f"symbolic expansion reached {count} monomials (budget {budget}); "
-            "rerun in probabilistic mode")
+
+class TermBudgetExceeded(RuntimeError):
+    """Symbolic expansion crossed, or would cross, the stored-monomial budget."""
+
+    def __init__(self, count: int, budget: int, message: str | None = None):
+        super().__init__(message or f"symbolic expansion reached {count} monomials "
+                         f"(budget {budget}); rerun in probabilistic mode")
         self.count = count
         self.budget = budget
+
+
+def row_reduce(vectors, ops):
+    """The reduced row echelon form of the span of vectors, equal-length
+    lists of raw values of the field of ``ops``, read in input order.
+
+    Returns (rows, pivots, raised): the reduced rows, the pivot column of
+    each, and the indices of the input vectors that raised the rank.
+    Reading stops at full rank.  The reduced form of a span is unique, so
+    up to the order of its rows it does not depend on the input order.
+    """
+    sub, mul, z = ops.sub, ops.mul, ops.zero
+    rows, pivots, raised = [], [], []
+    for i, vec in enumerate(vectors):
+        for row, piv in zip(rows, pivots):
+            f = vec[piv]
+            if f != z:
+                vec = [sub(a, mul(f, b)) for a, b in zip(vec, row)]
+        lead = next((k for k, v in enumerate(vec) if v != z), None)
+        if lead is None:
+            continue
+        inv = ops.inv(vec[lead])
+        vec = [mul(v, inv) for v in vec]
+        for k, row in enumerate(rows):
+            f = row[lead]
+            if f != z:
+                rows[k] = [sub(a, mul(f, b)) for a, b in zip(row, vec)]
+        rows.append(vec)
+        pivots.append(lead)
+        raised.append(i)
+        if len(rows) == len(vec):
+            break
+    return rows, pivots, raised
 
 
 def _q_terms(terms: dict) -> dict:
@@ -525,31 +545,15 @@ class SparsePoly:
         return self._like(out if p else _q_terms(out))
 
     def scale(self, c):
-        """c times the polynomial; c is a Scalar, an int or Fraction read in
-        the field, or a raw value of the field."""
+        """c times the polynomial, for a raw value c of the field."""
         ops = self.field.ops
-        if type(c) is Scalar:
-            c = c.val
-        elif type(c) is int:
-            c = ops.from_int(c)
-        elif type(c) is Fraction:
-            c = ops.from_fraction(c)
         if c == ops.zero:
             return self._like({})
         mul = ops.mul
         return self._like({k: mul(v, c) for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, SparsePoly):
-            return self.mul(other)
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.mul(other) if isinstance(other, SparsePoly) else NotImplemented
 
     def __eq__(self, other):
         if type(other) is not type(self):

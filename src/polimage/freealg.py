@@ -12,7 +12,10 @@ The text format understood by :func:`parse_poly` is
     var    := 'x' posint        coeff := int | int '/' posint
 
 with '[a,b]' expanding to a*b - b*a and '^k' (k >= 1) to k-fold repetition.
-Brackets and parentheses nest at most MAX_NESTING deep.  A bare coefficient
+Brackets and parentheses nest at most MAX_NESTING deep.  Before it expands
+a product, commutator or power, the parser refuses one that could give
+more words than the term budget (TermBudgetExceeded): n1*n2, 2*n1*n2 and
+n^k for operands of n1, n2 and n terms.  A bare coefficient
 is kept as a constant term; downstream classification rejects constant
 terms, the algebra itself allows them.
 
@@ -25,14 +28,21 @@ one argument per variable, given the ring's mul, add, scale, zero and one.
 It keeps a stack holding the product of each prefix of the current word,
 so a prefix that consecutive words share is multiplied once, and memory
 stays at one product per letter of the longest word.
+
+:func:`infer_weights` reads the weight vectors off the null space of the
+words' multidegree differences, row-reduced over Q by the shared
+:func:`polimage.fields.row_reduce`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, lcm
 
-from polimage.fields import FieldSpec, QQ, SparsePoly
+from polimage.fields import (DEFAULT_TERM_BUDGET, FieldSpec, QQ, SparsePoly,
+                             TermBudgetExceeded, row_reduce)
 
 Word = tuple[int, ...]
 
@@ -240,6 +250,13 @@ class _Parser:
     def error(self, msg: str):
         raise PolyParseError(msg, self.pos)
 
+    def refuse_over(self, what: str, bound: int, formula: str | None = None):
+        # polynomials of n1 and n2 terms multiply to at most n1*n2 words
+        if bound > DEFAULT_TERM_BUDGET:
+            raise TermBudgetExceeded(bound, DEFAULT_TERM_BUDGET, (
+                f"expanding this {what} could give {formula or bound} words, "
+                f"over the term budget {DEFAULT_TERM_BUDGET}"))
+
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -294,9 +311,11 @@ class _Parser:
                 t = self.factor()
                 while self.peek() == "*":
                     self.pos += 1
-                    t = t * self.factor()
+                    f = self.factor()
+                    self.refuse_over("product", len(t.terms) * len(f.terms))
+                    t = t * f
                 if coeff is not None:
-                    t = t.scale(coeff)
+                    t = t.scale(self.field.ops.from_fraction(coeff))
             if acc is None:
                 acc = -t if sign < 0 else t
             else:
@@ -326,6 +345,7 @@ class _Parser:
                 self.take(",")
                 b = self.expr()
                 self.take("]")
+                self.refuse_over("commutator", 2 * len(out.terms) * len(b.terms))
                 out = out * b - b * out
             else:
                 self.take(")")
@@ -339,6 +359,9 @@ class _Parser:
             if k < 1:
                 self.pos = at
                 self.error("exponent must be >= 1")
+            # n^k passes the budget exactly when n^min(k, its bit length) does
+            n = len(out.terms)
+            self.refuse_over("power", n ** min(k, DEFAULT_TERM_BUDGET.bit_length()), f"{n}^{k}")
             out = out ** k
         return out
 
@@ -361,6 +384,7 @@ def parse_poly(text: str, m: int, field: FieldSpec = QQ) -> FreePoly:
 # -- weights and homogeneity --------------------------------------------------
 
 
+@dataclass(frozen=True)
 class HomogeneityReport:
     """Outcome of a semi-homogeneity check.
 
@@ -369,23 +393,12 @@ class HomogeneityReport:
     it fails.
     """
 
-    __slots__ = ("degree", "offenders")
-
-    def __init__(self, degree, offenders=None):
-        self.degree = degree
-        self.offenders = offenders
+    degree: int | None
+    offenders: tuple[Word, Word] | None = None
 
     @property
     def ok(self) -> bool:
         return self.offenders is None
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return f"HomogeneityReport(degree={self.degree})"
-        return f"HomogeneityReport(offenders={self.offenders})"
 
 
 def weighted_degree(w: Word, weights: tuple[int, ...]) -> int:
@@ -396,70 +409,22 @@ def semi_homogeneous_check(p: FreePoly, weights: tuple[int, ...]) -> Homogeneity
     """Check that every word of p has the same weighted degree under weights."""
     if len(weights) != p.m:
         raise ValueError(f"weight vector length {len(weights)} != {p.m} variables")
-    first_word = None
-    d = 0
-    for w, _ in p.sorted_terms():
-        dw = weighted_degree(w, weights)
-        if first_word is None:
-            first_word, d = w, dw
-        elif dw != d:
-            return HomogeneityReport(None, (first_word, w))
-    return HomogeneityReport(d)
+    degrees = [(weighted_degree(w, weights), w) for w, _ in p.sorted_terms()]
+    for d, w in degrees[1:]:
+        if d != degrees[0][0]:
+            return HomogeneityReport(None, (degrees[0][1], w))
+    return HomogeneityReport(degrees[0][0] if degrees else 0)
 
 
-def _rational_nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    # row-reduce and read off a nullspace basis via the free columns
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -mat[row_idx][free]
-        basis.append(vec)
-    return basis
-
-
-def _to_int_vector(vec: list[Fraction]) -> tuple[int, ...]:
-    from math import gcd, lcm
-
-    denom = lcm(*(f.denominator for f in vec)) if vec else 1
+def _to_int_vector(vec: list) -> tuple[int, ...]:
+    # the primitive integer multiple of a nonzero rational vector whose first
+    # nonzero entry is positive
+    denom = lcm(*(f.denominator for f in vec))
     ints = [int(f * denom) for f in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def infer_weights(p: FreePoly) -> list[tuple[int, ...]]:
@@ -474,12 +439,18 @@ def infer_weights(p: FreePoly) -> list[tuple[int, ...]]:
     if len(words) <= 1:
         base = [tuple(1 if j == i else 0 for j in range(p.m)) for i in range(p.m)]
     else:
+        # the null space of the multidegree differences, one vector per free
+        # column of their reduced echelon form
         d0 = p.multidegree(words[0])
-        rows = []
-        for w in words[1:]:
-            d = p.multidegree(w)
-            rows.append([Fraction(a - b) for a, b in zip(d, d0)])
-        base = [_to_int_vector(v) for v in _rational_nullspace(rows, p.m)]
+        diffs = ([a - b for a, b in zip(p.multidegree(w), d0)] for w in words[1:])
+        rows, pivots, _ = row_reduce(diffs, QQ.ops)
+        base = []
+        for free in sorted(set(range(p.m)) - set(pivots)):
+            vec = [0] * p.m
+            vec[free] = 1
+            for row, col in zip(rows, pivots):
+                vec[col] = -row[free]
+            base.append(_to_int_vector(vec))
     out: list[tuple[int, ...]] = []
     ones = tuple([1] * p.m)
     if p.m and semi_homogeneous_check(p, ones).ok:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
-from polimage.fields import FieldSpec, Scalar, SparsePoly, TermBudgetExceeded
+from polimage.fields import (DEFAULT_TERM_BUDGET, FieldSpec, Scalar, SparsePoly,
+                             TermBudgetExceeded)
 from polimage.freealg import FreePoly, compile_plan, run_plan
 from polimage.matalg import Mat2, ConeKind, cone_classify, ratio_invariant, ratio_key
 
-DEFAULT_TERM_BUDGET = 10 ** 6
 DEFAULT_PROBE_PRIME = 2 ** 31 - 1
 
 
@@ -189,14 +189,6 @@ class Proportionality:
     degenerate: bool = False
     witnesses: tuple[Expo, ...] = ()
 
-    def to_json(self):
-        return {
-            "proportional": self.proportional,
-            "ratio": None if self.ratio is None else str(self.ratio),
-            "degenerate": self.degenerate,
-            "witnesses": [list(e) for e in self.witnesses],
-        }
-
 
 def proportionality(tau: ComPoly, delta: ComPoly) -> Proportionality:
     """Decide whether tau = c * delta for a constant c.
@@ -274,20 +266,7 @@ class ProbeReport:
     witnesses: dict[str, dict] = dc_field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "prime": self.prime,
-            "seed": self.seed,
-            "trials": self.trials,
-            "degree": self.degree,
-            "false_negative_bound": self.false_negative_bound,
-            "all_zero": self.all_zero,
-            "all_central": self.all_central,
-            "all_trace_zero": self.all_trace_zero,
-            "constant_ratio": self.constant_ratio,
-            "ratio_values": list(self.ratio_values),
-            "cone_counts": dict(sorted(self.cone_counts.items())),
-            "witnesses": {k: v for k, v in sorted(self.witnesses.items())},
-        }
+        return asdict(self)
 
 
 def _witness(mats: list[Mat2], value: Mat2) -> dict:

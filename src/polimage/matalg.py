@@ -111,8 +111,6 @@ class Mat2:
 
     def __mul__(self, other):
         if type(other) is not Mat2:
-            if isinstance(other, (Scalar, int)):
-                return self.scale(other)
             return NotImplemented
         f = self.field
         if other.field is not f:
@@ -129,39 +127,16 @@ class Mat2:
                         (c * e + d * h) % p, (c * g + d * k) % p, f)
         return _qmat(f, a * e + b * h, a * g + b * k, c * e + d * h, c * g + d * k)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, s) -> "Mat2":
-        """s times the matrix; s is a Scalar, a raw value of the field, or
-        an int read as an integer of the field."""
+        """s times the matrix, for a raw value s of the field."""
         f = self.field
-        if type(s) is Scalar:
-            _same_field(f, s.field)
-            s = s.val
         if f.degree == 2:
-            if type(s) is int:
-                s = f.ops.from_int(s)
             mul = f.ops.mul
             return Mat2(mul(self.a, s), mul(self.b, s), mul(self.c, s), mul(self.d, s), f)
         p = f.char
         if p:
             return Mat2(self.a * s % p, self.b * s % p, self.c * s % p, self.d * s % p, f)
         return _qmat(f, self.a * s, self.b * s, self.c * s, self.d * s)
-
-    def __pow__(self, k: int) -> "Mat2":
-        if k < 0:
-            raise ValueError("negative matrix powers not supported")
-        out = Mat2.identity(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):

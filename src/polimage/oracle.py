@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from itertools import product
 from operator import getitem
 
@@ -395,17 +395,8 @@ class ImageReport:
     elapsed: float = 0.0   # stderr-only; deliberately absent from to_json
 
     def to_json(self):
-        out = {
-            "field": self.field, "q": self.q, "m": self.m, "method": self.method,
-            "size": self.size, "contains_zero": self.contains_zero,
-            "conjugation_closed": self.conjugation_closed,
-            "scaling_closed": self.scaling_closed,
-            "span_dim": self.span_dim, "span_tag": self.span_tag,
-            "cone_counts": self.cone_counts, "budget": self.budget,
-        }
-        if self.elements is not None:
-            out["elements"] = self.elements
-        return out
+        return {k: v for k, v in asdict(self).items()
+                if k != "elapsed" and (v is not None or k != "elements")}
 
 
 def _image_and_method(p: FreePoly, field: FieldSpec, method: str,
@@ -523,14 +514,8 @@ class AlternatingTraceReport:
                 and self.linear_in_t)
 
     def to_json(self):
-        return {
-            "field": self.field, "trials": self.trials, "seed": self.seed,
-            "factor_model": "2*tr(T)", "identity_factor": "4",
-            "matches_trace_factor": self.matches_trace_factor,
-            "matches_identity_factor": self.matches_identity_factor,
-            "linear_in_t": self.linear_in_t, "ok": self.ok,
-            "failures": self.failures,
-        }
+        return {**asdict(self), "factor_model": "2*tr(T)", "identity_factor": "4",
+                "ok": self.ok}
 
 
 def _capelli_sub_sum(c4: FreePoly, a: list[Mat2], r: list[Mat2], t: Mat2) -> Mat2:

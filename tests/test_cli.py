@@ -1,12 +1,14 @@
 """The polimage command: JSON envelopes, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polimage.cli import main
+from polimage.fields import FieldSpec, TermBudgetExceeded
 
 
 @pytest.fixture
@@ -88,6 +90,53 @@ def test_classify_term_budget_exit_3(runner):
                           "--term-budget", "10"])
     assert res.exit_code == 3
     assert payload(res)["error"]["kind"] == "term_budget"
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "(x1+x2)^10*(x1+x2)^10", "-m", "2"],
+    ["classify", "[(x1+x2)^10,(x1+x2)^9]", "-m", "2"],
+    ["classify", "[x1,x2]^200", "-m", "2"],
+    ["enumerate", "[x1,x2]^200", "-m", "2", "-q", "2"],
+], ids=["product", "commutator", "power", "power_enumerate"])
+def test_classify_term_budget_exit_3_at_parse(runner, args):
+    # 1024*1024, 2*1024*512 and 2^200 words would pass the 10^6 term budget
+    t0 = time.monotonic()
+    res = invoke(runner, args)
+    assert time.monotonic() - t0 < 1.0
+    assert res.exit_code == 3
+    error = payload(res)["error"]
+    assert error["kind"] == "term_budget"
+    assert "1000000" in error["message"] and "probabilistic" not in error["message"]
+
+
+def test_parse_term_budget_boundary(runner, monkeypatch):
+    import polimage.freealg as freealg
+    monkeypatch.setattr(freealg, "DEFAULT_TERM_BUDGET", 4)
+    for text in ("(x1+x2)*(x1+x2)", "[x1+x2,x1]", "(x1+x2)^2"):  # bound 4: parsed
+        freealg.parse_poly(text, 2)
+    for text in ("(x1+x2+x1*x2)*(x1+x2)", "[x1+x2,x1+x2*x1]", "(x1+x2)^3"):
+        with pytest.raises(TermBudgetExceeded) as e:
+            freealg.parse_poly(text, 2)
+        assert e.value.budget == 4 and e.value.count > 4
+    res = invoke(runner, ["classify", "(x1+x2)^3", "-m", "2"])
+    assert res.exit_code == 3
+    assert payload(res)["error"]["message"] == (
+        "expanding this power could give 2^3 words, over the term budget 4")
+
+
+def test_classify_supplied_weights(runner):
+    res = invoke(runner, ["classify", "x1^2+x2", "-m", "2", "--weights", "1,2"])
+    assert res.exit_code == 0
+    result = payload(res)["result"]
+    assert result["verdict"] == "dense"
+    assert "semi-homogeneous for supplied weights [1, 2]" in result["diagnostics"]
+
+
+@pytest.mark.parametrize("weights", ["1,2,3", "a,b"], ids=["wrong_length", "not_ints"])
+def test_classify_bad_weights_exit_2(runner, weights):
+    res = invoke(runner, ["classify", "x1^2+x2", "-m", "2", "--weights", weights])
+    assert res.exit_code == 2
+    assert payload(res)["error"]["kind"] == "bad_input"
 
 
 def test_enumerate_commutator(runner):
@@ -176,6 +225,32 @@ def test_corpus_list(runner):
 def test_corpus_unknown_name_exit_2(runner):
     res = invoke(runner, ["corpus", "--only", "nonesuch"])
     assert res.exit_code == 2
+
+
+def test_corpus_empty_name_exit_2(runner):
+    res = invoke(runner, ["corpus", "--only", ""])
+    assert res.exit_code == 2
+    error = payload(res)["error"]
+    assert error["kind"] == "bad_input"
+    assert "no corpus entry named ''" in error["message"]
+
+
+def test_verify_failure_exit_1(runner, monkeypatch):
+    # a monomial is linear in every slot but not alternating, so the
+    # substitution sum is tr(T) times the value, not 2 tr(T) times it
+    import polimage.oracle as oracle
+    from polimage.freealg import parse_poly
+    monkeypatch.setattr(oracle, "capelli_poly",
+                        lambda t: parse_poly("x1*x2*x3*x4*x5*x6*x7", 7))
+    rep = oracle.verify_alternating_trace(FieldSpec(101), trials=3)
+    assert not rep.ok and not rep.matches_trace_factor
+    assert {f["kind"] for f in rep.failures} == {"trace_factor"}
+    res = invoke(runner, ["verify", "--trials", "3"])
+    assert res.exit_code == 1
+    doc = payload(res)
+    assert doc["command"] == "verify" and "error" not in doc
+    assert doc["report"]["ok"] is False
+    assert [f["kind"] for f in doc["report"]["failures"]] == ["trace_factor"] * 3
 
 
 def test_corpus_mismatch_exit_4(runner, monkeypatch):

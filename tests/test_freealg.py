@@ -81,7 +81,7 @@ def test_standard_poly_s4():
     # alternating: swapping two variables negates
     x1, x2, x3, x4 = (FreePoly.variable(i, 4) for i in range(1, 5))
     swapped = substitute(s4, [x2, x1, x3, x4])
-    assert swapped == s4.scale(QQ.from_int(-1))
+    assert swapped == s4.scale(-1)
 
 
 def test_capelli_c4():
@@ -135,7 +135,7 @@ def test_multilinearize_commutator_square():
     # substituting the blocks back gives 2! * 2! copies of the original
     back = substitute(lin, [parse_poly("x1", 2), parse_poly("x1", 2),
                             parse_poly("x2", 2), parse_poly("x2", 2)])
-    assert back == p.scale(QQ.from_int(4))
+    assert back == p.scale(4)
 
 
 def test_multilinearize_rejects_inhomogeneous():
