@@ -34,15 +34,13 @@ from dataclasses import asdict, dataclass, field as dc_field
 from itertools import islice, product
 
 from polimage.fields import FieldSpec, QQ, row_reduce
-from polimage.freealg import (FreePoly, infer_weights, parse_poly,
-                              semi_homogeneous_check, weighted_parts)
+from polimage.freealg import (FreePoly, infer_weights, semi_homogeneous_check,
+                              weighted_parts)
 from polimage.generic import (DEFAULT_PROBE_PRIME, DEFAULT_TERM_BUDGET,
-                              GenericMat, TermBudgetExceeded, eval_on_matrices,
-                              generic_eval, is_central, is_identically_zero,
-                              is_trace_zero, probabilistic_probe, proportionality,
-                              random_mat2)
-from polimage.matalg import (ConeKind, Mat2, cone_classify, ratio_invariant,
-                             ratio_key)
+                              eval_on_matrices, generic_eval, is_central,
+                              is_identically_zero, is_trace_zero,
+                              probabilistic_probe, proportionality, random_mat2)
+from polimage.matalg import Mat2, ratio_invariant, ratio_key
 
 DEFAULT_SEARCH_BUDGET = 20000
 DEFAULT_PROBE_TRIALS = 200
@@ -113,20 +111,36 @@ def cells_to_mat2(cells: dict[Unit, object], field: FieldSpec) -> Mat2:
                 cells.get((2, 1), z), cells.get((2, 2), z), field)
 
 
-def unit_evaluations(p: FreePoly, n: int = 2,
+def unit_evaluations(p: FreePoly,
                      budget: int = DEFAULT_UNIT_BUDGET) -> list[tuple[UnitTuple, Mat2]]:
-    """All n^(2m) matrix-unit evaluations in canonical tuple order.
+    """The nonzero matrix-unit values of a multilinear p in canonical tuple
+    order; the 4^m tuples are refused above budget.
 
-    For n = 2 values come back as Mat2; the count is refused above budget.
+    A word x_{w1}...x_{wm} is nonzero at a unit tuple only along a path
+    a0 -> a1 -> ... -> am of indices, which gives x_{wk} the unit
+    (a_{k-1}, a_k) and the word the value e_{a0 am}.  So each word is added
+    along its 2^(m+1) paths rather than tried on every tuple.
     """
-    count = (n * n) ** p.m
+    count = 4 ** p.m
     if count > budget:
         raise ValueError(f"{count} unit tuples exceed the budget {budget}")
-    out = []
-    for t in all_unit_tuples(p.m, n):
-        cells = eval_on_units(p, t, n)
-        out.append((t, cells_to_mat2(cells, p.field) if n == 2 else cells))
-    return out
+    if not p.is_multilinear():
+        raise ValueError("unit evaluations are walked for multilinear polynomials")
+    add, z = p.field.ops.add, p.field.ops.zero
+    # each path's units (edge k-1 -> k at index k-1) and its value's cell
+    paths = [(tuple(zip(a, a[1:])), 2 * a[0] + a[-1] - 3)
+             for a in product((1, 2), repeat=p.m + 1)]
+    acc: dict[UnitTuple, list] = {}
+    for w, c in p.terms.items():
+        slot = [0] * p.m  # slot[v - 1]: the position of x_v in the word
+        for k, v in enumerate(w):
+            slot[v - 1] = k
+        for edges, cell in paths:
+            t = tuple(map(edges.__getitem__, slot))
+            cells = acc.get(t) or acc.setdefault(t, [z] * 4)
+            cells[cell] = add(cells[cell], c)
+    return [(t, Mat2(*cells, p.field)) for t, cells in sorted(acc.items())
+            if any(v != z for v in cells)]
 
 
 # -- Eulerian analysis -------------------------------------------------------
@@ -334,7 +348,7 @@ def classify_multilinear(p: FreePoly, char: int = 0) -> ImageClass:
     verdict = {"zero": Verdict.ZERO, "scalars": Verdict.SCALARS,
                "sl2": Verdict.SL2, "full": Verdict.FULL}[res.tag]
     out = ImageClass(verdict, assumptions=_assumptions(char), mode="symbolic")
-    out.budget_consumed["unit_tuples"] = len(evals)
+    out.budget_consumed["unit_tuples"] = 4 ** q.m
     if verdict != Verdict.ZERO:
         for kind, test in (("nonzero_value", _nonzero),
                            ("non_scalar_value", lambda v: not v.is_scalar()),

@@ -6,17 +6,17 @@ bytes; --pretty switches to indented output.  Timing goes to stderr,
 never into the JSON.  Exit codes: 0 success, 1 a verification check
 failed, 2 bad input, 3 a budget refusal, 4 a corpus mismatch.  Failures,
 from a malformed command line to a budget refusal deep in the engine, end
-in the same document with an "error" member (see :class:`EnvelopeGroup`).
+in the same document with an "error" member (see :func:`main`).  The
+command line is read by the standard library's argparse.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 import time
-
-import click
 
 from polimage import __version__
 from polimage.classify import (DEFAULT_PROBE_TRIALS, DEFAULT_SEARCH_BUDGET,
@@ -44,41 +44,9 @@ def emit(payload: dict, command: str, pretty: bool, code: int = 0):
         text = json.dumps(doc, sort_keys=True, indent=2)
     else:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    click.echo(text)
+    print(text, flush=True)
     if code:
         sys.exit(code)
-
-
-class EnvelopeGroup(click.Group):
-    """The command group, ending every failure in the schema-1 envelope.
-
-    Click's usage errors (a bad option value, an unknown option or command,
-    a missing argument or option) and the engine's input and budget
-    exceptions all print {"error": {"kind", "message"}} on stdout with their
-    exit code.  "command" names the subcommand, or is null when none was
-    named; --help and --version still print text and exit 0.
-    """
-
-    def main(self, args=None, prog_name=None, standalone_mode=True, **extra):
-        # click's standalone handling is replaced here whatever the caller asks
-        args = list(sys.argv[1:] if args is None else args)
-        try:
-            return super().main(args, prog_name, standalone_mode=False, **extra)
-        except click.Abort:
-            click.echo("Aborted!", err=True)
-            sys.exit(1)
-        except click.ClickException as e:
-            kind, code, message = "bad_input", EXIT_BAD_INPUT, e.format_message()
-        except TermBudgetExceeded as e:
-            kind, code, message = "term_budget", EXIT_BUDGET, str(e)
-        except EnumerationBudgetError as e:
-            kind, code, message = "tuple_budget", EXIT_BUDGET, str(e)
-        except ValueError as e:  # PolyParseError and ScalarParseError among them
-            kind, code, message = "bad_input", EXIT_BAD_INPUT, str(e)
-        # the group takes no option values, so its first bare word is the command
-        command = next((a for a in args if not a.startswith("-")), None)
-        emit({"error": {"kind": kind, "message": message}},
-             command if command in self.commands else None, "--pretty" in args, code)
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -88,11 +56,15 @@ def parse_field(text: str) -> FieldSpec:
         return QQ
     if t.startswith(("F", "f")):
         t = t[1:]
-    if "^" in t:
-        base, _, deg = t.partition("^")
-        return FieldSpec(int(base), int(deg))
-    q = int(t)
-    root = math.isqrt(q)
+    base, hat, deg = t.partition("^")
+    try:
+        q, k = int(base), int(deg) if hat else 1
+    except ValueError:
+        raise ValueError(f"unknown field {text!r}: expected q, F<p>, F<p^2> "
+                         "or F<p>^2") from None
+    if hat:
+        return FieldSpec(q, k)
+    root = math.isqrt(max(q, 0))
     if root * root == q and root >= 2:
         try:
             return FieldSpec(root, 2)
@@ -117,7 +89,7 @@ def load_poly(text: str, m: int | None, field: FieldSpec = QQ) -> FreePoly:
     return parse_poly(t, m, field)
 
 
-def parse_weight_list(chunks: tuple[str, ...], m: int) -> list[tuple[int, ...]]:
+def parse_weight_list(chunks: list[str], m: int) -> list[tuple[int, ...]]:
     out = []
     for chunk in chunks:
         w = tuple(int(x) for x in chunk.split(","))
@@ -127,98 +99,50 @@ def parse_weight_list(chunks: tuple[str, ...], m: int) -> list[tuple[int, ...]]:
     return out
 
 
-pretty_option = click.option("--pretty", is_flag=True, help="Indent the JSON output.")
-
-
-@click.group(cls=EnvelopeGroup)
-@click.version_option(__version__, prog_name="polimage")
-def main():
-    """Classify images of noncommutative polynomials on 2x2 matrices."""
-
-
-@main.command()
-@click.argument("text")
-@click.option("-m", "nvars", type=int, default=None, help="Number of variables.")
-@click.option("--char", type=int, default=0, show_default=True,
-              help="Characteristic of the base field (0 or a prime).")
-@click.option("--mode", type=click.Choice(["symbolic", "probabilistic"]),
-              default="symbolic", show_default=True)
-@click.option("--weights", multiple=True,
-              help="Candidate weight vector like 2,1 (repeatable).")
-@click.option("--trials", type=int, default=DEFAULT_PROBE_TRIALS, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--prime", type=int, default=None,
-              help="Modulus for probabilistic evaluation [default: the "
-                   f"characteristic if nonzero, else {DEFAULT_PROBE_PRIME}].")
-@click.option("--term-budget", type=int, default=DEFAULT_TERM_BUDGET, show_default=True)
-@click.option("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-              show_default=True)
-@pretty_option
-def classify(text, nvars, char, mode, weights, trials, seed, prime,
-             term_budget, search_budget, pretty):
+def classify(a):
     """Classify the image of a polynomial (variables x1..xm)."""
     t0 = time.monotonic()
-    p = load_poly(text, nvars)
-    wlist = parse_weight_list(weights, p.m) if weights else None
+    p = load_poly(a.text, a.nvars)
+    wlist = parse_weight_list(a.weights, p.m) if a.weights else None
     result = classify_general(
-        p, char=char, mode=mode, weights=wlist, term_budget=term_budget,
-        search_budget=search_budget, seed=seed, trials=trials, prime=prime)
-    click.echo(f"elapsed {time.monotonic() - t0:.3f}s", err=True)
-    emit({"input": text, "m": p.m, "result": result.to_json()}, "classify", pretty)
+        p, char=a.char, mode=a.mode, weights=wlist, term_budget=a.term_budget,
+        search_budget=a.search_budget, seed=a.seed, trials=a.trials, prime=a.prime)
+    print(f"elapsed {time.monotonic() - t0:.3f}s", file=sys.stderr)
+    emit({"input": a.text, "m": p.m, "result": result.to_json()}, "classify", a.pretty)
 
 
-@main.command()
-@click.argument("text")
-@click.option("-m", "nvars", type=int, default=None, help="Number of variables.")
-@click.option("-q", "order", required=True, help="Finite field size (2,3,4,5,7).")
-@click.option("--method", type=click.Choice(["auto", "naive", "fast"]),
-              default="auto", show_default=True)
-@click.option("--tuple-budget", type=int, default=DEFAULT_TUPLE_BUDGET,
-              show_default=True)
-@click.option("--elements-limit", type=int, default=100, show_default=True,
-              help="List the image elements when the image is at most this big.")
-@pretty_option
-def enumerate(text, nvars, order, method, tuple_budget, elements_limit, pretty):
+def enumerate(a):
     """Exhaustively enumerate the image over M_2(F_q)."""
     t0 = time.monotonic()
-    field = parse_field(order)
+    field = parse_field(a.order)
     if field.char == 0:
         raise ValueError("enumeration needs a finite field")
-    p = load_poly(text, nvars)
-    report = enumerate_image(p, field, method, tuple_budget, elements_limit)
-    click.echo(f"elapsed {report.elapsed:.3f}s "
-               f"(total {time.monotonic() - t0:.3f}s)", err=True)
-    emit({"input": text, "report": report.to_json()}, "enumerate", pretty)
+    p = load_poly(a.text, a.nvars)
+    report = enumerate_image(p, field, a.method, a.tuple_budget, a.elements_limit)
+    print(f"elapsed {report.elapsed:.3f}s "
+          f"(total {time.monotonic() - t0:.3f}s)", file=sys.stderr)
+    emit({"input": a.text, "report": report.to_json()}, "enumerate", a.pretty)
 
 
-@main.command()
-@click.option("--only", default=None,
-              help="Comma-separated entry names to run (default: all).")
-@click.option("--list", "list_only", is_flag=True, help="List entry names and exit.")
-@pretty_option
-def corpus(only, list_only, pretty):
+def corpus(a):
     """Re-derive the pinned reference classifications; exit 4 on any drift."""
-    if list_only:
+    if a.list_only:
         emit({"entries": [{"name": e.name, "input": e.source,
                            "expected": e.expected} for e in ENTRIES]},
-             "corpus", pretty)
+             "corpus", a.pretty)
         return
     t0 = time.monotonic()
-    result = run_corpus(None if only is None else [n.strip() for n in only.split(",")])
-    click.echo(f"elapsed {time.monotonic() - t0:.3f}s", err=True)
-    emit(result, "corpus", pretty,
+    names = None if a.only is None else [n.strip() for n in a.only.split(",")]
+    result = run_corpus(names)
+    print(f"elapsed {time.monotonic() - t0:.3f}s", file=sys.stderr)
+    emit(result, "corpus", a.pretty,
          code=0 if result["ok"] else EXIT_CORPUS_MISMATCH)
 
 
-@main.command()
-@click.argument("matrix")
-@click.option("--field", "field_name", default="q", show_default=True,
-              help="Base field: q, F5, F25, F5^2 ...")
-@pretty_option
-def cone(matrix, field_name, pretty):
+def cone(a):
     """Cone position and invariants of one matrix, written a,b;c,d."""
-    field = parse_field(field_name)
-    mt = parse_mat2(matrix, field)
+    field = parse_field(a.field_name)
+    mt = parse_mat2(a.matrix, field)
     cls = cone_classify(mt)
     fmt = field.ops.fmt
     payload = {
@@ -226,56 +150,168 @@ def cone(matrix, field_name, pretty):
         "trace": fmt(mt.trace()), "det": fmt(mt.det()), "disc": fmt(mt.disc()),
         "ratio": ratio_key(ratio_invariant(mt)),
     }
-    emit(payload, "cone", pretty)
+    emit(payload, "cone", a.pretty)
 
 
-@main.command()
-@click.argument("units")
-@click.option("--poly", default=None, help="Multilinear polynomial to check.")
-@click.option("-m", "nvars", type=int, default=None)
-@pretty_option
-def euler(units, poly, nvars, pretty):
+def euler(a):
     """Trail verdict for a matrix-unit tuple like e11,e12."""
-    tup = parse_units(units)
-    payload = {"units": units, "verdict": euler_predict(tup).to_json()}
-    if poly is not None:
-        p = load_poly(poly, nvars if nvars is not None else len(tup))
+    tup = parse_units(a.units)
+    payload = {"units": a.units, "verdict": euler_predict(tup).to_json()}
+    if a.poly is not None:
+        p = load_poly(a.poly, a.nvars if a.nvars is not None else len(tup))
         if len(tup) != p.m:
             raise ValueError(f"{p.m} variables but {len(tup)} units")
         payload["consistent"] = check_euler(p, tup)
-    emit(payload, "euler", pretty)
+    emit(payload, "euler", a.pretty)
 
 
-@main.command()
-@click.option("--field", "field_name", default="F101", show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@pretty_option
-def verify(field_name, trials, seed, pretty):
+def verify(a):
     """Check the alternating substitution-sum identity on random data."""
     t0 = time.monotonic()
-    report = verify_alternating_trace(parse_field(field_name), trials, seed)
-    click.echo(f"elapsed {time.monotonic() - t0:.3f}s", err=True)
-    emit({"report": report.to_json()}, "verify", pretty,
+    report = verify_alternating_trace(parse_field(a.field_name), a.trials, a.seed)
+    print(f"elapsed {time.monotonic() - t0:.3f}s", file=sys.stderr)
+    emit({"report": report.to_json()}, "verify", a.pretty,
          code=0 if report.ok else EXIT_CHECK_FAILED)
 
 
-@main.command()
-@click.argument("text")
-@click.option("-m", "nvars", type=int, default=None)
-@pretty_option
-def linearize(text, nvars, pretty):
+def linearize(a):
     """Full multilinearization of a homogeneous polynomial."""
-    p = load_poly(text, nvars)
+    p = load_poly(a.text, a.nvars)
     if p.is_zero():
         raise ValueError("empty polynomial")
     lin = multilinearize(p)
     factor = 1
     for d in p.multidegree(p.sorted_terms()[0][0]):
         factor *= math.factorial(d)
-    emit({"input": text, "m": p.m, "linearized": format_poly(lin),
+    emit({"input": a.text, "m": p.m, "linearized": format_poly(lin),
           "m_out": lin.m, "back_substitution_factor": factor},
-         "linearize", pretty)
+         "linearize", a.pretty)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError rather than
+    exit, and which takes neither abbreviated long options nor -h."""
+
+    def __init__(self, **kw):
+        super().__init__(add_help=False, allow_abbrev=False, **kw)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+DEFAULT = " [default: %(default)s]"
+
+
+def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
+    """The polimage parser and its command parsers by name."""
+    top = _Parser(prog=prog, description=(
+        "Classify images of noncommutative polynomials on 2x2 matrices."))
+    top.add_argument("--version", action="version",
+                     version=f"polimage, version {__version__}",
+                     help="Show the version and exit.")
+    sub = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(run, *args: str, nvars: bool = False) -> _Parser:
+        doc = run.__doc__
+        p = sub.add_parser(run.__name__, help=doc, description=doc)
+        p.set_defaults(run=run)
+        for name in args:
+            p.add_argument(name)
+        if nvars:
+            p.add_argument("-m", dest="nvars", type=int, help="Number of variables.")
+        p.add_argument("--pretty", action="store_true", help="Indent the JSON output.")
+        return p
+
+    p = command(classify, "text", nvars=True)
+    p.add_argument("--char", type=int, default=0,
+                   help="Characteristic of the base field (0 or a prime)." + DEFAULT)
+    p.add_argument("--mode", choices=["symbolic", "probabilistic"], default="symbolic",
+                   help=DEFAULT)
+    p.add_argument("--weights", action="append",
+                   help="Candidate weight vector like 2,1 (repeatable).")
+    p.add_argument("--trials", type=int, default=DEFAULT_PROBE_TRIALS, help=DEFAULT)
+    p.add_argument("--seed", type=int, default=0, help=DEFAULT)
+    p.add_argument("--prime", type=int, help=(
+        "Modulus for probabilistic evaluation [default: the characteristic "
+        f"if nonzero, else {DEFAULT_PROBE_PRIME}]."))
+    p.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET, help=DEFAULT)
+    p.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+                   help=DEFAULT)
+
+    p = command(enumerate, "text", nvars=True)
+    p.add_argument("-q", dest="order", required=True,
+                   help="Finite field size (2,3,4,5,7).")
+    p.add_argument("--method", choices=["auto", "naive", "fast"], default="auto",
+                   help=DEFAULT)
+    p.add_argument("--tuple-budget", type=int, default=DEFAULT_TUPLE_BUDGET, help=DEFAULT)
+    p.add_argument("--elements-limit", type=int, default=100, help=(
+        "List the image elements when the image is at most this big." + DEFAULT))
+
+    p = command(corpus)
+    p.add_argument("--only", help="Comma-separated entry names to run (default: all).")
+    p.add_argument("--list", dest="list_only", action="store_true",
+                   help="List entry names and exit.")
+
+    p = command(cone, "matrix")
+    p.add_argument("--field", dest="field_name", default="q",
+                   help="Base field: q, F5, F25, F5^2 ..." + DEFAULT)
+
+    p = command(euler, "units", nvars=True)
+    p.add_argument("--poly", help="Multilinear polynomial to check.")
+
+    p = command(verify)
+    p.add_argument("--field", dest="field_name", default="F101", help=DEFAULT)
+    p.add_argument("--trials", type=int, default=100, help=DEFAULT)
+    p.add_argument("--seed", type=int, default=0, help=DEFAULT)
+
+    command(linearize, "text", nvars=True)
+    return top, sub.choices
+
+
+def _join_dash_values(args: list[str], parsers) -> list[str]:
+    """Join each option that takes a value to a following value that begins
+    with '-' (--weights -1,2), which argparse would read as an option."""
+    takes_value = {s for p in parsers for act in p._actions if act.nargs != 0
+                   for s in act.option_strings}
+    out = []
+    for a in args:
+        if out and out[-1] in takes_value and a.startswith("-") and "--" not in out:
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
+def main(args=None, prog_name=None, standalone_mode=True, **_):
+    """Run one polimage command; every failure ends in the JSON envelope.
+
+    Usage errors (a bad option value, an unknown option or command, a
+    missing argument or option) and the engine's input and budget exceptions
+    all print {"error": {"kind", "message"}} on stdout with their exit code.
+    "command" names the command, or is null when none was named; --help and
+    --version print text and exit 0.  The keywords are those of the console
+    script's call; standalone_mode is accepted and ignored.
+    """
+    args = list(sys.argv[1:] if args is None else args)
+    top, commands = _parser(prog_name or "polimage")
+    try:
+        opts = top.parse_args(_join_dash_values(args, commands.values()))
+        opts.run(opts)
+        return
+    except (KeyboardInterrupt, EOFError):
+        print("Aborted!", file=sys.stderr)
+        sys.exit(1)
+    except TermBudgetExceeded as e:
+        kind, code, message = "term_budget", EXIT_BUDGET, str(e)
+    except EnumerationBudgetError as e:
+        kind, code, message = "tuple_budget", EXIT_BUDGET, str(e)
+    except ValueError as e:  # usage errors, PolyParseError and ScalarParseError
+        kind, code, message = "bad_input", EXIT_BAD_INPUT, str(e)
+    # polimage takes no option values, so its first bare word is the command
+    command = next((a for a in args if not a.startswith("-")), None)
+    emit({"error": {"kind": kind, "message": message}},
+         command if command in commands else None, "--pretty" in args, code)
 
 
 if __name__ == "__main__":

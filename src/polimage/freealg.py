@@ -15,7 +15,9 @@ with '[a,b]' expanding to a*b - b*a and '^k' (k >= 1) to k-fold repetition.
 Brackets and parentheses nest at most MAX_NESTING deep.  Before it expands
 a product, commutator or power, the parser refuses one that could give
 more words than the term budget (TermBudgetExceeded): n1*n2, 2*n1*n2 and
-n^k for operands of n1, n2 and n terms.  A bare coefficient
+n^k for operands of n1, n2 and n terms.  It also refuses a power whose
+words could be longer than the term budget: d*k letters for an operand of
+degree d.  A bare coefficient
 is kept as a constant term; downstream classification rejects constant
 terms, the algebra itself allows them.
 
@@ -90,10 +92,14 @@ class FreePoly(SparsePoly):
     def __pow__(self, k: int) -> "FreePoly":
         if k < 1:
             raise ValueError("exponent must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        out, square = None, self  # by repeated squaring
+        while True:
+            if k & 1:
+                out = square if out is None else out * square
+            k >>= 1
+            if not k:
+                return out
+            square = square * square
 
     # -- structure ----------------------------------------------------------
 
@@ -250,11 +256,12 @@ class _Parser:
     def error(self, msg: str):
         raise PolyParseError(msg, self.pos)
 
-    def refuse_over(self, what: str, bound: int, formula: str | None = None):
+    def refuse_over(self, what: str, bound: int, formula: str | None = None,
+                    unit: str = "words"):
         # polynomials of n1 and n2 terms multiply to at most n1*n2 words
         if bound > DEFAULT_TERM_BUDGET:
             raise TermBudgetExceeded(bound, DEFAULT_TERM_BUDGET, (
-                f"expanding this {what} could give {formula or bound} words, "
+                f"expanding this {what} could give {formula or bound} {unit}, "
                 f"over the term budget {DEFAULT_TERM_BUDGET}"))
 
     def skip_ws(self):
@@ -362,6 +369,7 @@ class _Parser:
             # n^k passes the budget exactly when n^min(k, its bit length) does
             n = len(out.terms)
             self.refuse_over("power", n ** min(k, DEFAULT_TERM_BUDGET.bit_length()), f"{n}^{k}")
+            self.refuse_over("power", out.degree() * k, unit="letters in one word")
             out = out ** k
         return out
 

@@ -11,7 +11,7 @@ from polimage.classify import (SpanAnomalyError, Verdict, all_unit_tuples,
                                seeded_matrix_pairs, span_dimension,
                                unit_evaluations, NONDENSE_TEXT)
 from polimage.fields import FieldSpec, QQ
-from polimage.freealg import multilinearize, parse_poly, standard_poly
+from polimage.freealg import FreePoly, multilinearize, parse_poly, standard_poly
 from polimage.generic import eval_on_matrices
 from polimage.matalg import Mat2
 
@@ -198,3 +198,44 @@ def test_unit_eval_agrees_with_matrices_on_commutator(us):
     units = tuple(us)
     mats = [Mat2.unit(i, j, QQ) for i, j in units]
     assert cells_to_mat2(eval_on_units(p, units), QQ) == eval_on_matrices(p, mats)
+
+
+@st.composite
+def multilinear_polys(draw):
+    """A multilinear p over Q, F3, F4 or F7^2 with m <= 5: few words, each
+    drawn maybe more than once, with small coefficients that often cancel
+    within a word or within a unit value."""
+    field = draw(st.sampled_from([QQ, FieldSpec(3), FieldSpec(2, 2), FieldSpec(7, 2)]))
+    m = draw(st.integers(1, 5))
+    p = FreePoly.zero(m, field)
+    for _ in range(draw(st.integers(0, 6))):
+        word = tuple(draw(st.permutations(range(1, m + 1))))
+        c = field.ops.from_int(draw(st.sampled_from([1, -1, 2, -2, 3])))
+        p = p + FreePoly(m, field, {word: c})
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(multilinear_polys())
+def test_unit_evaluations_walk_equals_every_tuple(p):
+    expected = []
+    for t in all_unit_tuples(p.m):
+        value = cells_to_mat2(eval_on_units(p, t), p.field)
+        if not value.is_zero():
+            expected.append((t, value))
+    assert unit_evaluations(p) == expected
+    if p.field.degree == 1:
+        assert classify_multilinear(p, p.field.char).budget_consumed["unit_tuples"] \
+            == 4 ** p.m
+
+
+@pytest.mark.parametrize("text, m", [("x1^2", 1), ("x1*x2 + x1", 2), ("x1*x1*x2", 2)])
+def test_unit_evaluations_refuse_non_multilinear(text, m):
+    with pytest.raises(ValueError):
+        unit_evaluations(parse_poly(text, m))
+
+
+def test_unit_evaluations_budget_refused_up_front():
+    p = parse_poly("*".join(f"x{i}" for i in range(1, 12)), 11)
+    with pytest.raises(ValueError, match="4194304 unit tuples exceed the budget 1048576"):
+        unit_evaluations(p)

@@ -1,12 +1,13 @@
 """Free-algebra layer: parsing, formatting, weights, linearization."""
 
 import operator
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polimage.fields import FieldSpec, QQ
+from polimage.fields import DEFAULT_TERM_BUDGET, FieldSpec, QQ, TermBudgetExceeded
 from polimage.freealg import (FreePoly, PolyParseError, capelli_poly, compile_plan,
                               format_poly, infer_weights, multilinearize,
                               parse_poly, run_plan, semi_homogeneous_check,
@@ -39,6 +40,23 @@ def test_commutator_square_words():
 def test_power_requires_positive():
     with pytest.raises(PolyParseError):
         parse_poly("x1^0", 1)
+
+
+def test_long_power_parses_fast():
+    t0 = time.monotonic()
+    p = parse_poly("x1^40000", 1)
+    assert time.monotonic() - t0 < 1.0
+    assert p.terms == {(1,) * 40000: 1}
+
+
+@pytest.mark.parametrize("text", ["x1^2000000", "(x1^1000)^2000"])
+def test_overlong_power_refused_at_parse(text):
+    # one word of 2*10^6 letters would pass the 10^6 term budget
+    t0 = time.monotonic()
+    with pytest.raises(TermBudgetExceeded) as e:
+        parse_poly(text, 1)
+    assert time.monotonic() - t0 < 1.0
+    assert (e.value.count, e.value.budget) == (2000000, DEFAULT_TERM_BUDGET)
 
 
 def test_undeclared_variable():
@@ -181,3 +199,13 @@ def test_multiplication_is_distributive(w1, c1, w2, c2):
                          for w, c in zip(w2, c2) if c})
     assert (a + b) * a == a * a + b * a
     assert a * (a + b) == a * a + a * b
+
+
+@settings(max_examples=40)
+@given(words, coeffs, st.integers(1, 6))
+def test_power_equals_repeated_product(ws, cs, k):
+    a = FreePoly(3, QQ, {tuple(w): QQ.ops.from_fraction(c) for w, c in zip(ws, cs) if c})
+    product = a
+    for _ in range(k - 1):
+        product = product * a
+    assert a ** k == product
