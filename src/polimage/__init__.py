@@ -2,7 +2,7 @@
 
 The pieces, bottom to top:
 
-  fields     exact scalars: Q, F_p, and the quadratic extensions F_p^2
+  fields     exact raw values and their ops: Q, F_p, and the extensions F_p^2
   freealg    free-algebra polynomials, parsing, weights, linearization
   matalg     2x2 matrices, the eigenvalue-ratio invariant, cone positions
   generic    evaluation at generic matrices and seeded random probing
@@ -12,17 +12,16 @@ The pieces, bottom to top:
   cli        the polimage command
 """
 
-from polimage.fields import (FieldMismatchError, FieldSpec, QQ, Scalar,
-                             ScalarParseError, parse_scalar, sqrt_in_closure)
+from polimage.fields import (FieldMismatchError, FieldSpec, QQ, ScalarParseError,
+                             parse_scalar, sqrt_in_closure)
 from polimage.freealg import (FreePoly, HomogeneityReport, PolyParseError,
                               capelli_poly, compile_plan, format_poly,
                               infer_weights, multilinearize, parse_poly,
                               run_plan, semi_homogeneous_check, standard_poly,
                               weighted_degree, weighted_parts)
-from polimage.matalg import (ConeClass, ConeKind, INFINITE_RATIO, Mat2,
-                             SingularMatrixError, UNDEFINED_RATIO,
+from polimage.matalg import (ConeClass, ConeKind, Mat2, SingularMatrixError,
                              cone_classify, conjugate, eigenvalues_in_closure,
-                             parse_mat2, ratio_invariant, ratio_key, similar)
+                             parse_mat2, ratio_invariant, similar)
 from polimage.generic import (ComPoly, GenericMat, ProbeReport, Proportionality,
                               TermBudgetExceeded, eval_on_matrices, generic_eval,
                               is_central, is_identically_zero, is_trace_zero,

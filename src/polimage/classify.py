@@ -40,7 +40,7 @@ from polimage.generic import (DEFAULT_PROBE_PRIME, DEFAULT_TERM_BUDGET,
                               eval_on_matrices, generic_eval, is_central,
                               is_identically_zero, is_trace_zero,
                               probabilistic_probe, proportionality, random_mat2)
-from polimage.matalg import Mat2, ratio_invariant, ratio_key
+from polimage.matalg import Mat2, ratio_invariant
 
 DEFAULT_SEARCH_BUDGET = 20000
 DEFAULT_PROBE_TRIALS = 200
@@ -503,7 +503,7 @@ def _ratio_branch(out: ImageClass, q: FreePoly, prop, search_budget: int,
         out.verdict = Verdict.DENSE
         seen: dict[str, dict] = {}
         for mats, val in _witness_scan(q, search_budget, seed):
-            key = ratio_key(ratio_invariant(val))
+            key = ratio_invariant(val)
             if key != "undefined" and key not in seen:
                 seen[key] = _wit("value", mats, val)
                 if len(seen) == 2:
@@ -517,7 +517,7 @@ def _ratio_branch(out: ImageClass, q: FreePoly, prop, search_budget: int,
         return out
     out.verdict = Verdict.ANOMALY
     out.diagnostics.append(
-        f"tr^2 = {prop.ratio} * det identically; a fixed eigenvalue ratio "
+        f"tr^2 = {q.field.ops.fmt(prop.ratio)} * det identically; a fixed eigenvalue ratio "
         "on a semi-homogeneous non-central image contradicts the supporting theory")
     return out
 

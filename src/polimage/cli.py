@@ -24,10 +24,10 @@ from polimage.classify import (DEFAULT_PROBE_TRIALS, DEFAULT_SEARCH_BUDGET,
                                parse_units)
 from polimage.corpus import ENTRIES, run_corpus
 from polimage.fields import FieldSpec, QQ
-from polimage.freealg import (FreePoly, PolyParseError, capelli_poly, format_poly,
-                              multilinearize, parse_poly, standard_poly)
+from polimage.freealg import (FreePoly, capelli_poly, format_poly, multilinearize,
+                              parse_poly, standard_poly)
 from polimage.generic import DEFAULT_PROBE_PRIME, DEFAULT_TERM_BUDGET, TermBudgetExceeded
-from polimage.matalg import (cone_classify, parse_mat2, ratio_invariant, ratio_key)
+from polimage.matalg import cone_classify, parse_mat2, ratio_invariant
 from polimage.oracle import (DEFAULT_TUPLE_BUDGET, EnumerationBudgetError,
                              enumerate_image, verify_alternating_trace)
 
@@ -82,10 +82,10 @@ def load_poly(text: str, m: int | None, field: FieldSpec = QQ) -> FreePoly:
     if len(t) == 2 and t[0] in _BUILTINS and t[1].isdigit() and 2 <= int(t[1]) <= 6:
         p = _BUILTINS[t[0]](int(t[1]), field)
         if m is not None and m != p.m:
-            raise PolyParseError(f"builtin {t} uses {p.m} variables, not {m}", 0)
+            raise ValueError(f"builtin {t} uses {p.m} variables, not {m}")
         return p
     if m is None:
-        raise PolyParseError("-m is required unless the input is a builtin name", 0)
+        raise ValueError("-m is required unless the input is a builtin name")
     return parse_poly(t, m, field)
 
 
@@ -148,7 +148,7 @@ def cone(a):
     payload = {
         "matrix": str(mt), "field": str(field), "cone": cls.to_json(),
         "trace": fmt(mt.trace()), "det": fmt(mt.det()), "disc": fmt(mt.disc()),
-        "ratio": ratio_key(ratio_invariant(mt)),
+        "ratio": ratio_invariant(mt),
     }
     emit(payload, "cone", a.pretty)
 
@@ -203,6 +203,17 @@ class _Parser(argparse.ArgumentParser):
 DEFAULT = " [default: %(default)s]"
 
 
+def budget(text: str) -> int:
+    """The type of every budget option: an int of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
     """The polimage parser and its command parsers by name."""
     top = _Parser(prog=prog, description=(
@@ -235,8 +246,8 @@ def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--prime", type=int, help=(
         "Modulus for probabilistic evaluation [default: the characteristic "
         f"if nonzero, else {DEFAULT_PROBE_PRIME}]."))
-    p.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET, help=DEFAULT)
-    p.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+    p.add_argument("--term-budget", type=budget, default=DEFAULT_TERM_BUDGET, help=DEFAULT)
+    p.add_argument("--search-budget", type=budget, default=DEFAULT_SEARCH_BUDGET,
                    help=DEFAULT)
 
     p = command(enumerate, "text", nvars=True)
@@ -244,7 +255,7 @@ def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
                    help="Finite field size (2,3,4,5,7).")
     p.add_argument("--method", choices=["auto", "naive", "fast"], default="auto",
                    help=DEFAULT)
-    p.add_argument("--tuple-budget", type=int, default=DEFAULT_TUPLE_BUDGET, help=DEFAULT)
+    p.add_argument("--tuple-budget", type=budget, default=DEFAULT_TUPLE_BUDGET, help=DEFAULT)
     p.add_argument("--elements-limit", type=int, default=100, help=(
         "List the image elements when the image is at most this big." + DEFAULT))
 

@@ -31,15 +31,13 @@ def _check_cone_product(p: FreePoly, result) -> dict:
     counts = probe.get("cone_counts", {})
     out["probe_scaled_unipotent_absent"] = counts.get("scaled_unipotent", 0) == 0
     f = QQ
-    one, zero = f.one(), f.zero()
-    xs = [Mat2(one, one, zero, one), Mat2.unit(2, 2, f),
-          Mat2.unit(1, 2, f), Mat2.unit(2, 1, f)]
+    x = Mat2.from_ints(f, 1, 1, 0, 1)
+    y = Mat2.from_ints(f, 1, 0, 1, 1)
+    xs = [x, Mat2.unit(2, 2, f), Mat2.unit(1, 2, f), Mat2.unit(2, 1, f)]
     nil = eval_on_matrices(p, xs)
     out["nilpotent_witness"] = {
-        "args": [str(x) for x in xs], "value": str(nil),
+        "args": [str(m) for m in xs], "value": str(nil),
         "ok": cone_classify(nil).kind is ConeKind.NILPOTENT}
-    x = Mat2(one, one, zero, one)
-    y = Mat2(one, zero, one, one)
     sc = eval_on_matrices(p, [x, x, y, y])
     out["scalar_witness"] = {
         "args": [str(x), str(x), str(y), str(y)], "value": str(sc),
@@ -133,9 +131,9 @@ ENTRIES: list[CorpusEntry] = [
 ]
 
 
-class UnknownEntryError(KeyError, ValueError):
-    """No corpus entry has the requested name; a ValueError too, so the
-    command line reports it as bad input."""
+class UnknownEntryError(ValueError):
+    """No corpus entry has the requested name; the command line reports it
+    as bad input."""
 
 
 def entry_by_name(name: str) -> CorpusEntry:

@@ -11,8 +11,9 @@ on them:
             quadratic non-residue mod p for odd p, and t^2 + t + 1 = 0
             for p = 2 (so F_4)
 
-Matrices and polynomials hold raw values; :class:`Scalar` boxes one value
-with its field where single elements cross an interface.
+Every engine interface passes raw values next to their field: matrices,
+polynomials, parsed scalars and square roots alike.  :class:`Scalar`, one
+boxed value, remains only for the layer probes of the benchmark.
 
 :func:`row_reduce` is the one row reduction over a field's ``ops``; the span
 of 2x2 values (classify) and the weight null space (freealg) both use it.
@@ -272,24 +273,6 @@ class FieldSpec:
             raise ValueError("quadratic extension only defined in positive characteristic")
         return FieldSpec(self.char, 2)
 
-    def zero(self) -> "Scalar":
-        return Scalar(self, self.ops.zero)
-
-    def one(self) -> "Scalar":
-        return Scalar(self, self.ops.one)
-
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, self.ops.from_int(n))
-
-    def from_fraction(self, fr: Fraction) -> "Scalar":
-        return Scalar(self, self.ops.from_fraction(fr))
-
-    def theta(self) -> "Scalar":
-        """The adjoined root t of the degree-2 extension."""
-        if self.degree != 2:
-            raise ValueError("theta lives in the quadratic extension")
-        return Scalar(self, (0, 1))
-
     def raw_elements(self) -> list:
         """Every raw value; finite fields only."""
         if self.char == 0:
@@ -298,10 +281,6 @@ class FieldSpec:
         if self.degree == 1:
             return list(range(p))
         return [(a, b) for b in range(p) for a in range(p)]
-
-    def elements(self):
-        """Iterate every element; finite fields only."""
-        return (Scalar(self, v) for v in self.raw_elements())
 
     def __str__(self):
         if self.char == 0:
@@ -315,10 +294,9 @@ QQ = FieldSpec(0)
 class Scalar:
     """One field element, boxed: a raw value (``val``) with its field.
 
-    Hot arithmetic works on raw values through ``field.ops``; Scalar is
-    the view used where single values cross an interface (parsing,
-    polynomial coefficients, reports).  Operands must come from the same
-    field; plain ints are read as integers of that field.
+    The engine passes raw values and ``field.ops``; Scalar is kept only for
+    the layer probes, which time a boxed add, multiply and inverse.
+    Operands must come from the same field.
     """
 
     __slots__ = ("field", "val")
@@ -329,68 +307,22 @@ class Scalar:
 
     def _raw(self, other):
         # the raw value of a same-field operand, or None for foreign types
-        if type(other) is Scalar:
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatchError(f"cannot combine {self.field} and {other.field}")
-            return other.val
-        if isinstance(other, int):
-            return self.field.ops.from_int(other)
-        return None
+        if type(other) is not Scalar:
+            return None
+        if other.field is not self.field and other.field != self.field:
+            raise FieldMismatchError(f"cannot combine {self.field} and {other.field}")
+        return other.val
 
     def __add__(self, other):
         v = self._raw(other)
         return NotImplemented if v is None else Scalar(self.field, self.field.ops.add(self.val, v))
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         v = self._raw(other)
         return NotImplemented if v is None else Scalar(self.field, self.field.ops.mul(self.val, v))
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
         return Scalar(self.field, self.field.ops.inv(self.val))
-
-    def __truediv__(self, other):
-        v = self._raw(other)
-        return NotImplemented if v is None else Scalar(self.field, self.field.ops.div(self.val, v))
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self
-        if k < 0:
-            base, k = self.inverse(), -k
-        out = self.field.one()
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return self.val == self.field.ops.zero
-
-    def is_one(self) -> bool:
-        return self.val == self.field.ops.one
-
-    def _key(self):
-        # (char, a, b), shared by F_p and its extension, where F_p embeds as (a, 0)
-        if self.field.degree == 2:
-            return (self.field.char, *self.val)
-        return (self.field.char, self.val, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __str__(self):
         return self.field.ops.fmt(self.val)
@@ -564,9 +496,10 @@ class SparsePoly:
         return hash((self.nvars, self.field, frozenset(self.terms.items())))
 
 
-def parse_scalar(text: str, field: FieldSpec) -> Scalar:
-    """Parse the textual scalar format: 'p/q' or int for Q, residue for F_p,
-    'a+b*t' (or 'b*t', or a bare residue) for the quadratic extension."""
+def parse_scalar(text: str, field: FieldSpec):
+    """Parse the textual scalar format into a raw value of field: 'p/q' or
+    int for Q, residue for F_p, 'a+b*t' (or 'b*t', or a bare residue) for the
+    quadratic extension."""
     text = text.strip().replace(" ", "")
     if not text:
         raise ScalarParseError("empty scalar")
@@ -592,47 +525,40 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
             else:
                 raise ScalarParseError(f"bad extension scalar '{text}'")
             p = field.char
-            return Scalar(field, (int(a_part) % p, sign * b_val % p))
+            return int(a_part) % p, sign * b_val % p
         if "/" in text:
             num, den = text.split("/", 1)
             fr = Fraction(int(num), int(den))
-            return field.from_fraction(fr)
-        return field.from_int(int(text))
+            return field.ops.from_fraction(fr)
+        return field.ops.from_int(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, ScalarParseError):
             raise
         raise ScalarParseError(f"bad scalar '{text}' for {field}: {exc}") from exc
 
 
-def sqrt_in_closure(a: Scalar) -> Scalar:
-    """Square root of a prime-field element, taken in F_{p^2}.
+def sqrt_in_closure(v, field: FieldSpec):
+    """Square root of a raw value v of a prime field, as a raw value of
+    F_{p^2}; in F_4, where squaring is a bijection, of F_4 itself.
 
     Always succeeds: residues keep their root in the base field (lifted),
     non-residues pick up a multiple of the adjoined root.  When both roots
     exist the one with the lexicographically smaller (a, b) encoding is
     returned, so the choice is deterministic.
     """
-    f = a.field
-    if f.char == 0:
+    if field.char == 0:
         raise ValueError("square roots are only taken in positive characteristic")
-    if f.degree != 1:
-        if f.char == 2:
+    p = field.char
+    if field.degree != 1:
+        if p == 2:
             # Frobenius: squaring is a bijection of F_4, with inverse squaring
-            return a * a
+            return field.ops.mul(v, v)
         raise ValueError("argument must come from the prime field")
-    ext = f.extension()
-    p = f.char
-    v = a.val
-    if v == 0:
-        return ext.zero()
-    if p == 2:
-        # Frobenius: squaring is a bijection, sqrt(x) = x^(2^(k-1)) in F_{2^k}
-        return Scalar(ext, (v, 0)) ** 2
+    if v == 0 or p == 2:
+        # in F_2 every element is its own square root
+        return v, 0
     if pow(v, (p - 1) // 2, p) == 1:
         r = _sqrt_mod_prime(v, p)
-        r = min(r, p - r)
-        return Scalar(ext, (r, 0))
-    d = _smallest_nonresidue(p)
-    r = _sqrt_mod_prime(v * pow(d, -1, p) % p, p)
-    r = min(r, p - r)
-    return Scalar(ext, (0, r))
+        return min(r, p - r), 0
+    r = _sqrt_mod_prime(v * pow(_smallest_nonresidue(p), -1, p) % p, p)
+    return 0, min(r, p - r)

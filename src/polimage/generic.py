@@ -17,10 +17,9 @@ import operator
 import random
 from dataclasses import asdict, dataclass, field as dc_field
 
-from polimage.fields import (DEFAULT_TERM_BUDGET, FieldSpec, Scalar, SparsePoly,
-                             TermBudgetExceeded)
+from polimage.fields import DEFAULT_TERM_BUDGET, FieldSpec, SparsePoly, TermBudgetExceeded
 from polimage.freealg import FreePoly, compile_plan, run_plan
-from polimage.matalg import Mat2, ConeKind, cone_classify, ratio_invariant, ratio_key
+from polimage.matalg import Mat2, ConeKind, cone_classify, ratio_invariant
 
 DEFAULT_PROBE_PRIME = 2 ** 31 - 1
 
@@ -185,7 +184,7 @@ def is_trace_zero(P: GenericMat) -> bool:
 @dataclass(frozen=True)
 class Proportionality:
     proportional: bool
-    ratio: Scalar | None = None
+    ratio: object = None  # a raw value of the polynomials' field
     degenerate: bool = False
     witnesses: tuple[Expo, ...] = ()
 
@@ -201,10 +200,10 @@ def proportionality(tau: ComPoly, delta: ComPoly) -> Proportionality:
     f = tau.field
     if delta.is_zero():
         if tau.is_zero():
-            return Proportionality(True, f.zero(), degenerate=True)
+            return Proportionality(True, f.ops.zero, degenerate=True)
         return Proportionality(False, None, degenerate=True, witnesses=(tau.lead()[0],))
     if tau.is_zero():
-        return Proportionality(True, f.zero())
+        return Proportionality(True, f.ops.zero)
     e_t, c_t = tau.lead()
     e_d, c_d = delta.lead()
     if e_t != e_d:
@@ -212,7 +211,7 @@ def proportionality(tau: ComPoly, delta: ComPoly) -> Proportionality:
     c = f.ops.div(c_t, c_d)
     diff = tau - delta.scale(c)
     if diff.is_zero():
-        return Proportionality(True, Scalar(f, c))
+        return Proportionality(True, c)
     return Proportionality(False, witnesses=(diff.lead()[0],))
 
 
@@ -314,8 +313,7 @@ def probabilistic_probe(p: FreePoly, trials: int, prime: int = DEFAULT_PROBE_PRI
                 report.witnesses.setdefault("nonzero_trace", _witness(mats, val))
         if cone.kind == ConeKind.NILPOTENT:
             report.witnesses.setdefault("nilpotent_nonzero", _witness(mats, val))
-        r = ratio_invariant(val)
-        key = ratio_key(r)
+        key = ratio_invariant(val)
         if key != "undefined":
             if key not in ratios:
                 ratios.add(key)

@@ -14,7 +14,11 @@ under nonzero scaling:
 
 The ratio invariant of a matrix with eigenvalues l1, l2 is
 l1/l2 + l2/l1 = tr^2/det - 2.  It degenerates to "infinite" when exactly
-one eigenvalue is zero and is undefined on nilpotents.
+one eigenvalue is zero and is undefined on nilpotents.  Callers only
+compare and print it, so it is returned in its printed form.
+
+Entries, invariants and eigenvalues are raw values of the matrix's field,
+computed through ``field.ops``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from polimage.fields import (FieldMismatchError, FieldSpec, Scalar, ScalarParseError,
+from polimage.fields import (FieldMismatchError, FieldSpec, ScalarParseError,
                              canonical_q, parse_scalar, sqrt_in_closure)
 
 
@@ -38,9 +42,10 @@ def _same_field(f: FieldSpec, g: FieldSpec):
 class Mat2:
     """Dense 2x2 matrix (a, b; c, d) of raw values of one field.
 
-    ``Mat2(a, b, c, d)`` takes four Scalars of one field;
-    ``Mat2(a, b, c, d, field)`` takes raw values of ``field``.  Products,
-    sums and scales choose the field's layout once per matrix operation.
+    ``Mat2(a, b, c, d, field)`` takes raw values of ``field``.  The form
+    ``Mat2(a, b, c, d)`` with four Scalars of one field is kept only for the
+    layer probes in ``perfbench/probes.py``.  Products, sums and scales
+    choose the field's layout once per matrix operation.
     """
 
     __slots__ = ("field", "a", "b", "c", "d")
@@ -79,11 +84,6 @@ class Mat2:
         vals = [[0, 0], [0, 0]]
         vals[i - 1][j - 1] = 1
         return cls.from_ints(field, vals[0][0], vals[0][1], vals[1][0], vals[1][1])
-
-    @classmethod
-    def diag(cls, x: Scalar, y: Scalar) -> "Mat2":
-        z = x.field.zero()
-        return cls(x, z, z, y)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -198,7 +198,7 @@ def _qmat(f: FieldSpec, a, b, c, d) -> Mat2:
 
 
 def parse_mat2(text: str, field: FieldSpec) -> Mat2:
-    """Parse the row-major 'a,b;c,d' matrix format."""
+    """Parse the row-major 'a,b;c,d' matrix format into raw values."""
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise ScalarParseError(f"expected two ';'-separated rows in {text!r}")
@@ -208,50 +208,25 @@ def parse_mat2(text: str, field: FieldSpec) -> Mat2:
         if len(cells) != 2:
             raise ScalarParseError(f"expected two ','-separated entries in row {row!r}")
         entries.extend(parse_scalar(cell, field) for cell in cells)
-    return Mat2(*entries)
+    return Mat2(*entries, field)
 
 
 # -- ratio invariant ----------------------------------------------------------
 
 
-class _RatioMarker:
-    __slots__ = ("name",)
+def ratio_invariant(mat: Mat2) -> str:
+    """Sum of the two eigenvalue ratios, tr^2/det - 2, printed.
 
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-    def __str__(self):
-        return self.name
-
-
-INFINITE_RATIO = _RatioMarker("infinite")
-UNDEFINED_RATIO = _RatioMarker("undefined")
-
-
-def ratio_invariant(mat: Mat2):
-    """Sum of the two eigenvalue ratios, tr^2/det - 2.
-
-    Returns a Scalar when det != 0, INFINITE_RATIO when exactly one
-    eigenvalue vanishes (det = 0, tr != 0) and UNDEFINED_RATIO on
+    Returns ``field.ops.fmt`` of the value when det != 0, "infinite" when
+    exactly one eigenvalue vanishes (det = 0, tr != 0) and "undefined" on
     nilpotent matrices, where no eigenvalue ratio exists.
     """
-    f = mat.field
-    ops = f.ops
+    ops = mat.field.ops
     t = mat.trace()
     d = mat.det()
     if d == ops.zero:
-        return UNDEFINED_RATIO if t == ops.zero else INFINITE_RATIO
-    return Scalar(f, ops.sub(ops.div(ops.mul(t, t), d), ops.from_int(2)))
-
-
-def ratio_key(value) -> str:
-    """Stable string encoding of a ratio invariant for reports and JSON."""
-    if isinstance(value, _RatioMarker):
-        return value.name
-    return str(value)
+        return "undefined" if t == ops.zero else "infinite"
+    return ops.fmt(ops.sub(ops.div(ops.mul(t, t), d), ops.from_int(2)))
 
 
 # -- cone classification --------------------------------------------------------
@@ -272,18 +247,18 @@ class ConeKind(str, Enum):
 @dataclass(frozen=True)
 class ConeClass:
     kind: ConeKind
-    ratio: object = None  # Scalar or INFINITE_RATIO for distinct eigenvalues
+    ratio: str | None = None  # the printed ratio invariant, distinct eigenvalues only
 
     def to_json(self):
         out = {"kind": self.kind.value}
         if self.ratio is not None:
-            out["ratio_invariant"] = ratio_key(self.ratio)
+            out["ratio_invariant"] = self.ratio
         return out
 
     def __str__(self):
         if self.ratio is None:
             return self.kind.value
-        return f"{self.kind.value}(ratio={ratio_key(self.ratio)})"
+        return f"{self.kind.value}(ratio={self.ratio})"
 
 
 def cone_classify(mat: Mat2) -> ConeClass:
@@ -325,8 +300,8 @@ def conjugate(mat: Mat2, g: Mat2) -> Mat2:
     return (g * mat * adj).scale(ops.inv(dg))
 
 
-def eigenvalues_in_closure(mat: Mat2) -> tuple[Scalar, Scalar]:
-    """Both eigenvalues, exactly, as elements of F_{p^2}.
+def eigenvalues_in_closure(mat: Mat2) -> tuple:
+    """Both eigenvalues, exactly, as raw values of F_{p^2}.
 
     Only defined over prime fields.  The pair is ordered by the (a, b)
     encoding of the extension so repeated runs agree.
@@ -347,8 +322,8 @@ def eigenvalues_in_closure(mat: Mat2) -> tuple[Scalar, Scalar]:
             roots = roots * 2
         assert len(roots) == 2, "char-2 quadratic must split in F_4"
     else:
-        s = sqrt_in_closure(Scalar(f, mat.disc())).val
+        s = sqrt_in_closure(mat.disc(), f)
         half = ops.inv(ops.from_int(2))
         roots = [ops.mul(ops.add(t, s), half), ops.mul(ops.sub(t, s), half)]
     roots.sort()
-    return Scalar(ext, roots[0]), Scalar(ext, roots[1])
+    return roots[0], roots[1]

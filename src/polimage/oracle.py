@@ -290,6 +290,12 @@ def conjugacy_reps(table: MatTable) -> list[int]:
     return reps
 
 
+def _leaves(table: MatTable, m: int) -> int:
+    """The argument tuples the subspace method spans a unit image over: one
+    per class representative of A2 and per A3..Am, or one when m = 1."""
+    return len(conjugacy_reps(table)) * table.n4 ** (m - 2) if m >= 2 else 1
+
+
 def fast_multilinear_image(p: FreePoly, field: FieldSpec,
                            tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> set[int]:
     """Image of a multilinear polynomial via its subspace decomposition.
@@ -306,6 +312,9 @@ def fast_multilinear_image(p: FreePoly, field: FieldSpec,
     plan = int_plan(p, table)
     if not plan:
         return {0}
+    leaves = _leaves(table, p.m)
+    if leaves * 4 > tuple_budget:
+        raise EnumerationBudgetError(leaves * 4, tuple_budget)
     ring = int_ring(table)
     units = [table.units[u] for u in ((1, 1), (1, 2), (2, 1), (2, 2))]
     if p.m == 1:
@@ -314,9 +323,6 @@ def fast_multilinear_image(p: FreePoly, field: FieldSpec,
     else:
         reps = conjugacy_reps(table)
         rest = p.m - 2
-        leaves = len(reps) * (table.n4 ** rest)
-        if leaves * 4 > tuple_budget:
-            raise EnumerationBudgetError(leaves * 4, tuple_budget)
         span_cache: dict = {}
         seen: set[tuple[int, ...]] = set()
         for r in reps:
@@ -406,8 +412,7 @@ def _image_and_method(p: FreePoly, field: FieldSpec, method: str,
         method = "fast" if p.is_multilinear() else "naive"
     if method == "fast":
         image = fast_multilinear_image(p, field, tuple_budget)
-        spent = {"leaves": (len(conjugacy_reps(table)) * table.n4 ** (p.m - 2)
-                            if p.m >= 2 else 1)}
+        spent = {"leaves": _leaves(table, p.m)}
     elif method == "naive":
         image = naive_image(p, field, tuple_budget)
         spent = {"tuples": table.n4 ** p.m}

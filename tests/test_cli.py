@@ -168,6 +168,40 @@ def test_classify_bad_weights_exit_2(weights):
     assert payload(res)["error"]["kind"] == "bad_input"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["classify", "s4", "-m", "8"], "builtin s4 uses 4 variables, not 8"),
+    (["classify", "x1"], "-m is required unless the input is a builtin name"),
+], ids=["builtin_count", "missing_m"])
+def test_load_poly_refusal_messages(args, message):
+    res = invoke(args)
+    assert res.exit_code == 2
+    assert payload(res)["error"] == {"kind": "bad_input", "message": message}
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "[x1,x2]^3", "-m", "2", "--search-budget", "-5"],
+    ["classify", "[x1,x2]^3", "-m", "2", "--term-budget", "-1"],
+    ["enumerate", "x1", "-m", "1", "-q", "2", "--tuple-budget", "-1"],
+], ids=["search", "term", "tuple"])
+def test_negative_budget_refused(args):
+    res = invoke(args)
+    assert res.exit_code == 2
+    error = payload(res)["error"]
+    assert error["kind"] == "bad_input"
+    assert error["message"] == f"argument {args[-2]}: must be at least 0, got {args[-1]}"
+    # a budget of 0 is a budget, not a refusal of the option
+    assert invoke(args[:-1] + ["0"]).exit_code != 2
+
+
+def test_single_variable_fast_enumeration_bounded():
+    # m = 1 spans the four unit images once: four evaluations
+    args = ["enumerate", "x1", "-m", "1", "-q", "2", "--method", "fast"]
+    res = invoke([*args, "--tuple-budget", "3"])
+    assert res.exit_code == 3
+    assert payload(res)["error"]["kind"] == "tuple_budget"
+    assert invoke([*args, "--tuple-budget", "4"]).exit_code == 0
+
+
 def test_enumerate_commutator():
     res = invoke(["enumerate", "[x1,x2]", "-m", "2", "-q", "3"])
     assert res.exit_code == 0
@@ -204,6 +238,43 @@ def test_cone_command():
     doc = payload(res)
     assert doc["cone"]["kind"] == "distinct_eigenvalues"
     assert doc["ratio"] == "5/2"
+
+
+@pytest.mark.parametrize("args, stdout", [
+    (["cone", "1+t,0;0,1", "--field", "F9"],
+     '{"command":"cone","cone":{"kind":"distinct_eigenvalues","ratio_invariant":"0+2*t"},'
+     '"det":"1+1*t","disc":"2","field":"F3^2","matrix":"1+1*t,0;0,1","ratio":"0+2*t",'
+     '"schema":1,"trace":"2+1*t"}'),
+    (["cone", "1,0;0,2"],
+     '{"command":"cone","cone":{"kind":"distinct_eigenvalues","ratio_invariant":"5/2"},'
+     '"det":"2","disc":"1","field":"Q","matrix":"1,0;0,2","ratio":"5/2","schema":1,'
+     '"trace":"3"}'),
+    (["cone", "1,0;0,0"],
+     '{"command":"cone","cone":{"kind":"distinct_eigenvalues","ratio_invariant":"infinite"},'
+     '"det":"0","disc":"1","field":"Q","matrix":"1,0;0,0","ratio":"infinite","schema":1,'
+     '"trace":"1"}'),
+    (["cone", "0,1;0,0", "--field", "F2"],
+     '{"command":"cone","cone":{"kind":"nilpotent"},"det":"0","disc":"0","field":"F2",'
+     '"matrix":"0,1;0,0","ratio":"undefined","schema":1,"trace":"0"}'),
+    (["cone", "1,0;0,3", "--field", "F25"],
+     '{"command":"cone","cone":{"kind":"distinct_eigenvalues","ratio_invariant":"0"},'
+     '"det":"3","disc":"4","field":"F5^2","matrix":"1,0;0,3","ratio":"0","schema":1,'
+     '"trace":"4"}'),
+    (["classify", "x1^2", "-m", "1", "--char", "2"],
+     '{"command":"classify","input":"x1^2","m":1,"result":{"assumptions":'
+     '{"characteristic":2,"field":"quadratic closure of the prime field of characteristic 2",'
+     '"root_closure_degree":2,"weighted_degree":2,"weights":[1]},"budget_consumed":'
+     '{"symbolic_terms":8},"diagnostics":["tr^2 and det are not proportional; witnesses at '
+     'exponents [[4, 0, 0, 0], [2, 0, 0, 2]]","semi-homogeneous for inferred weights [1]"],'
+     '"mode":"symbolic","seed":0,"verdict":"dense","witnesses":[{"first":{"args":'
+     '["1,0;0,0"],"kind":"value","value":"1,0;0,0"},"kind":"distinct_ratios","ratios":'
+     '["0","infinite"],"second":{"args":["0,1;1,0"],"kind":"value","value":"1,0;0,1"}}]},'
+     '"schema":1}'),
+], ids=["F9", "Q", "infinite", "undefined", "F25", "classify_char2"])
+def test_printed_ratio_invariants(args, stdout):
+    res = invoke(args)
+    assert res.exit_code == 0
+    assert res.stdout == stdout + "\n"
 
 
 def test_cone_bad_matrix_exit_2():
@@ -254,6 +325,8 @@ def test_corpus_list():
 def test_corpus_unknown_name_exit_2():
     res = invoke(["corpus", "--only", "nonesuch"])
     assert res.exit_code == 2
+    error = payload(res)["error"]
+    assert error == {"kind": "bad_input", "message": "no corpus entry named 'nonesuch'"}
 
 
 def test_corpus_empty_name_exit_2():
@@ -262,6 +335,7 @@ def test_corpus_empty_name_exit_2():
     error = payload(res)["error"]
     assert error["kind"] == "bad_input"
     assert "no corpus entry named ''" in error["message"]
+    assert error["message"] == "no corpus entry named ''"
 
 
 def test_verify_failure_exit_1(monkeypatch):
@@ -351,6 +425,7 @@ def test_option_value_may_begin_with_dash():
     res = invoke(["corpus", "--only", "-x"])
     assert res.exit_code == 2
     assert "no corpus entry named '-x'" in payload(res)["error"]["message"]
+    assert payload(res)["error"]["message"] == "no corpus entry named '-x'"
 
 
 @pytest.mark.parametrize("args, name", [

@@ -69,7 +69,7 @@ def test_proportional_scaled_pair():
     delta = P.det()
     res = proportionality(delta + delta, delta)
     assert res.proportional
-    assert res.ratio.val == 2
+    assert res.ratio == 2
 
 
 def test_eval_on_matrices_matches_generic():

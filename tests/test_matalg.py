@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polimage.fields import FieldSpec, QQ, Scalar
-from polimage.matalg import (ConeKind, INFINITE_RATIO, Mat2, UNDEFINED_RATIO,
-                             cone_classify, conjugate, eigenvalues_in_closure,
-                             parse_mat2, ratio_invariant, ratio_key, similar)
+from polimage.fields import FieldSpec, QQ
+from polimage.matalg import (ConeKind, Mat2, cone_classify, conjugate,
+                             eigenvalues_in_closure, parse_mat2, ratio_invariant,
+                             similar)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -35,20 +35,18 @@ def test_trace_det_disc():
 
 
 def test_ratio_invariant_values():
-    assert ratio_invariant(mq(1, 0, 0, 2)).val == Fraction(5, 2)
-    assert ratio_invariant(mq(1, 0, 0, 1)).val == 2
-    assert ratio_invariant(mq(1, 0, 0, -1)).val == -2
-    assert ratio_invariant(mq(0, 1, 0, 0)) is UNDEFINED_RATIO
-    assert ratio_invariant(mq(1, 0, 0, 0)) is INFINITE_RATIO
-    assert ratio_key(INFINITE_RATIO) == "infinite"
-    assert ratio_key(UNDEFINED_RATIO) == "undefined"
+    assert ratio_invariant(mq(1, 0, 0, 2)) == "5/2"
+    assert ratio_invariant(mq(1, 0, 0, 1)) == "2"
+    assert ratio_invariant(mq(1, 0, 0, -1)) == "-2"
+    assert ratio_invariant(mq(0, 1, 0, 0)) == "undefined"
+    assert ratio_invariant(mq(1, 0, 0, 0)) == "infinite"
 
 
 def test_ratio_is_r_plus_inverse():
     # diag(r, 1) has invariant r + 1/r
     for r in (2, 3, -5, Fraction(7, 3)):
-        mt = Mat2.diag(QQ.from_fraction(Fraction(r)), QQ.one())
-        assert ratio_invariant(mt).val == Fraction(r) + 1 / Fraction(r)
+        mt = Mat2(QQ.ops.from_fraction(r), 0, 0, 1, QQ)
+        assert ratio_invariant(mt) == str(Fraction(r) + 1 / Fraction(r))
 
 
 def test_cone_ladder():
@@ -59,7 +57,7 @@ def test_cone_ladder():
     assert cone_classify(mq(1, 1, 0, 1)).kind is ConeKind.SCALED_UNIPOTENT
     cls = cone_classify(mq(1, 0, 0, 2))
     assert cls.kind is ConeKind.DISTINCT_EIGENVALUES
-    assert cls.ratio.val == Fraction(5, 2)
+    assert cls.ratio == "5/2"
 
 
 def test_cone_char2_has_no_scaled_unipotent():
@@ -109,33 +107,33 @@ def test_eigenvalues_rational_rejected():
 
 def test_eigenvalues_f5():
     mt = Mat2.from_ints(F5, 1, 0, 0, 2)
-    assert [e.val for e in eigenvalues_in_closure(mt)] == [(1, 0), (2, 0)]
+    assert eigenvalues_in_closure(mt) == ((1, 0), (2, 0))
     mt = Mat2.from_ints(F5, 0, 1, 1, 0)
-    assert [e.val for e in eigenvalues_in_closure(mt)] == [(1, 0), (4, 0)]
+    assert eigenvalues_in_closure(mt) == ((1, 0), (4, 0))
     # x^2 = 2 has no root in F5; the eigenvalues live upstairs
     mt = Mat2.from_ints(F5, 0, 1, 2, 0)
     ev = eigenvalues_in_closure(mt)
-    assert all(e.field.degree == 2 for e in ev)
-    assert (ev[0] * ev[0]).val == (2, 0)
+    assert all(len(e) == 2 for e in ev)
+    assert F5.extension().ops.mul(ev[0], ev[0]) == (2, 0)
 
 
 def test_eigenvalues_char2():
     # z^2 + z + 1 over F2: the roots are the two generators of F4
     mt = Mat2.from_ints(F2, 0, 1, 1, 1)
     ev = eigenvalues_in_closure(mt)
-    assert sorted(e.val for e in ev) == [(0, 1), (1, 1)]
+    assert sorted(ev) == [(0, 1), (1, 1)]
+    ops = F2.extension().ops
     for e in ev:
-        assert (e * e + e + e.field.one()).is_zero()
+        assert ops.add(ops.add(ops.mul(e, e), e), ops.one) == ops.zero
 
 
 def test_eigenvalue_product_is_det():
     for mat in (Mat2.from_ints(F5, 1, 2, 3, 4), Mat2.from_ints(F3, 0, 1, 1, 0),
                 Mat2.from_ints(F5, 2, 1, 0, 3), Mat2.from_ints(F2, 0, 1, 1, 1)):
         ev = eigenvalues_in_closure(mat)
-        prod = ev[0] * ev[1]
-        total = ev[0] + ev[1]
-        assert prod.val == (mat.det(), 0)
-        assert total.val == (mat.trace(), 0)
+        ops = mat.field.extension().ops
+        assert ops.mul(ev[0], ev[1]) == (mat.det(), 0)
+        assert ops.add(ev[0], ev[1]) == (mat.trace(), 0)
 
 
 entries = st.integers(-6, 6)
@@ -160,4 +158,4 @@ def test_similar_reflexive_and_ratio_constant(a, b, c, d):
     mt = mq(a, b, c, d)
     assert similar(mt, mt)
     g = mq(1, 2, 0, 1)
-    assert ratio_key(ratio_invariant(mt)) == ratio_key(ratio_invariant(conjugate(mt, g)))
+    assert ratio_invariant(mt) == ratio_invariant(conjugate(mt, g))
