@@ -33,7 +33,7 @@ import random
 from dataclasses import asdict, dataclass, field as dc_field
 from itertools import islice, product
 
-from polimage.fields import FieldSpec, QQ, row_reduce
+from polimage.fields import FieldSpec, QQ, refuse_negative_budgets, row_reduce
 from polimage.freealg import (FreePoly, infer_weights, semi_homogeneous_check,
                               weighted_parts)
 from polimage.generic import (DEFAULT_PROBE_PRIME, DEFAULT_TERM_BUDGET,
@@ -412,6 +412,7 @@ def classify_semihomogeneous(p: FreePoly, weights: tuple[int, ...], char: int = 
     tr^2 and det to be proportional.  The trace-zero branch without a
     nilpotent witness is genuinely open and reported as undetermined.
     """
+    refuse_negative_budgets(term_budget=term_budget, search_budget=search_budget)
     if p.has_constant_term():
         raise ValueError("classification requires a zero constant term")
     check = semi_homogeneous_check(p, weights)
@@ -539,6 +540,7 @@ def classify_general(p: FreePoly, char: int = 0, mode: str = "symbolic",
     less is reported as inconclusive.  Probabilistic evaluation runs over
     F_char in positive characteristic (see :func:`probe_prime`).
     """
+    refuse_negative_budgets(term_budget=term_budget, search_budget=search_budget)
     if p.has_constant_term():
         raise ValueError("classification requires a zero constant term")
     prime = probe_prime(char, prime)

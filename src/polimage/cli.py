@@ -119,8 +119,7 @@ def enumerate(a):
         raise ValueError("enumeration needs a finite field")
     p = load_poly(a.text, a.nvars)
     report = enumerate_image(p, field, a.method, a.tuple_budget, a.elements_limit)
-    print(f"elapsed {report.elapsed:.3f}s "
-          f"(total {time.monotonic() - t0:.3f}s)", file=sys.stderr)
+    print(f"elapsed {time.monotonic() - t0:.3f}s", file=sys.stderr)
     emit({"input": a.text, "report": report.to_json()}, "enumerate", a.pretty)
 
 

@@ -199,18 +199,12 @@ def run_entry(entry: CorpusEntry) -> dict:
 
 
 def _all_ok(node) -> bool:
-    """Conjunction of every 'ok'/'agrees' flag in a nested check dict."""
+    """Whether every bool in a nested check dict is true."""
     if isinstance(node, dict):
-        good = True
-        for k, v in node.items():
-            if k in ("ok", "agrees") and isinstance(v, bool):
-                good &= v
-            else:
-                good &= _all_ok(v)
-        return good
+        return all(_all_ok(v) for v in node.values())
     if isinstance(node, list):
         return all(_all_ok(v) for v in node)
-    return True
+    return node is not False
 
 
 def run_corpus(names: list[str] | None = None) -> dict:

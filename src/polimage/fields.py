@@ -344,6 +344,13 @@ class TermBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+def refuse_negative_budgets(**budgets: int) -> None:
+    """Raise ValueError for a budget below 0; a budget of 0 allows no work."""
+    for name, n in budgets.items():
+        if n < 0:
+            raise ValueError(f"{name} must be at least 0, got {n}")
+
+
 def row_reduce(vectors, ops):
     """The reduced row echelon form of the span of vectors, equal-length
     lists of raw values of the field of ``ops``, read in input order.

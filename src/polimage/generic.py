@@ -17,7 +17,8 @@ import operator
 import random
 from dataclasses import asdict, dataclass, field as dc_field
 
-from polimage.fields import DEFAULT_TERM_BUDGET, FieldSpec, SparsePoly, TermBudgetExceeded
+from polimage.fields import (DEFAULT_TERM_BUDGET, FieldSpec, SparsePoly, TermBudgetExceeded,
+                             refuse_negative_budgets)
 from polimage.freealg import FreePoly, compile_plan, run_plan
 from polimage.matalg import Mat2, ConeKind, cone_classify, ratio_invariant
 
@@ -149,6 +150,7 @@ def generic_eval(p: FreePoly, budget: int = DEFAULT_TERM_BUDGET) -> GenericMat:
     when 2 * deg(p), the degree of tr^2 and det, does not fit a packed
     exponent digit.
     """
+    refuse_negative_budgets(budget=budget)
     if 2 * p.degree() >= 1 << WIDTH:
         raise ValueError(f"degree {p.degree()} is too high for generic evaluation: "
                          f"tr^2 and det need twice it below {1 << WIDTH}")

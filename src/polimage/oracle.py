@@ -13,18 +13,18 @@ run on table lookups.  Two enumeration strategies:
                row echelon form before expansion.
 
 Both must agree; the equality is part of the test suite, not assumed here.
+Reports hold results only: timing a run is the caller's business.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import asdict, dataclass, field as dc_field
 from itertools import product
 from operator import getitem
 
 from polimage.classify import SpanAnomalyError, span_dimension
-from polimage.fields import FieldSpec
+from polimage.fields import FieldSpec, refuse_negative_budgets
 from polimage.freealg import FreePoly, capelli_poly, compile_plan, run_plan
 from polimage.matalg import Mat2, cone_classify
 from polimage.generic import eval_on_matrices, random_mat2
@@ -71,7 +71,6 @@ class MatTable:
         self.sneg = [sx[ops.neg(a)] for a in self.scalars]
         self.sinv = [None] + [sx[ops.inv(a)] for a in self.scalars[1:]]
         self.one_idx = sx[ops.one]
-        self.zero_idx = 0
         self.identity_idx = self.encode(Mat2.identity(field))
         self.units = {(i, j): self.encode(Mat2.unit(i, j, field))
                       for i in (1, 2) for j in (1, 2)}
@@ -219,6 +218,7 @@ def int_ring(table: MatTable) -> tuple:
 def naive_image(p: FreePoly, field: FieldSpec,
                 tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> set[int]:
     """Every value of p over M_2(F_q), by walking all q^(4m) argument tuples."""
+    refuse_negative_budgets(tuple_budget=tuple_budget)
     table = get_table(field)
     total = table.n4 ** p.m
     if total > tuple_budget:
@@ -262,17 +262,12 @@ def rref_rows(table: MatTable, vecs: list[int]) -> tuple[int, ...]:
     return tuple(table._pack(*r) for r in out)
 
 
-def expand_span(table: MatTable, rows: tuple[int, ...],
-                cache: dict | None = None) -> set[int]:
+def expand_span(table: MatTable, rows: tuple[int, ...]) -> set[int]:
     """All q^k combinations of the echelon rows."""
-    if cache is not None and rows in cache:
-        return cache[rows]
     cur = {0}
     for r in rows:
         cur = {table.add(x, table.scale(s, r))
                for x in cur for s in range(table.q)}
-    if cache is not None:
-        cache[rows] = cur
     return cur
 
 
@@ -291,8 +286,8 @@ def conjugacy_reps(table: MatTable) -> list[int]:
 
 
 def _leaves(table: MatTable, m: int) -> int:
-    """The argument tuples the subspace method spans a unit image over: one
-    per class representative of A2 and per A3..Am, or one when m = 1."""
+    """The number of tails A2..Am fast_multilinear_image walks: one per class
+    representative of A2 and per A3..Am, or the empty tail when m = 1."""
     return len(conjugacy_reps(table)) * table.n4 ** (m - 2) if m >= 2 else 1
 
 
@@ -306,6 +301,7 @@ def fast_multilinear_image(p: FreePoly, field: FieldSpec,
     representatives only, at the price of closing the union under
     conjugation afterwards.
     """
+    refuse_negative_budgets(tuple_budget=tuple_budget)
     if not p.is_multilinear():
         raise ValueError("fast enumeration requires a multilinear polynomial")
     table = get_table(field)
@@ -317,21 +313,12 @@ def fast_multilinear_image(p: FreePoly, field: FieldSpec,
         raise EnumerationBudgetError(leaves * 4, tuple_budget)
     ring = int_ring(table)
     units = [table.units[u] for u in ((1, 1), (1, 2), (2, 1), (2, 2))]
-    if p.m == 1:
-        rows = rref_rows(table, [run_plan(plan, (u,), *ring) for u in units])
-        core = expand_span(table, rows)
-    else:
-        reps = conjugacy_reps(table)
-        rest = p.m - 2
-        span_cache: dict = {}
-        seen: set[tuple[int, ...]] = set()
-        for r in reps:
-            for tail in product(range(table.n4), repeat=rest):
-                vecs = [run_plan(plan, (u, r) + tail, *ring) for u in units]
-                seen.add(rref_rows(table, vecs))
-        core = set()
-        for rows in seen:
-            core |= expand_span(table, rows, span_cache)
+    # the arguments A2..Am: a class representative, then every A3..Am
+    tails = [()] if p.m == 1 else product(conjugacy_reps(table),
+                                          *[range(table.n4)] * (p.m - 2))
+    seen = {rref_rows(table, [run_plan(plan, (u,) + tail, *ring) for u in units])
+            for tail in tails}
+    core = set().union(*(expand_span(table, rows) for rows in seen))
     # close under conjugation by searching from core along the generators:
     # this reaches the whole GL_2 orbit of every element of core
     gens = table.generators()
@@ -398,11 +385,10 @@ class ImageReport:
     cone_counts: dict[str, int]
     elements: list[str] | None = None
     budget: dict = dc_field(default_factory=dict)
-    elapsed: float = 0.0   # stderr-only; deliberately absent from to_json
 
     def to_json(self):
         return {k: v for k, v in asdict(self).items()
-                if k != "elapsed" and (v is not None or k != "elements")}
+                if v is not None or k != "elements"}
 
 
 def _image_and_method(p: FreePoly, field: FieldSpec, method: str,
@@ -422,8 +408,8 @@ def _image_and_method(p: FreePoly, field: FieldSpec, method: str,
 
 
 def build_report(p: FreePoly, field: FieldSpec, image: set[int], method: str,
-                 spent: dict, elapsed: float, tuple_budget: int,
-                 elements_limit: int = 100) -> ImageReport:
+                 spent: dict, tuple_budget: int, elements_limit: int = 100) -> ImageReport:
+    """The report on an image that method found within tuple_budget."""
     table = get_table(field)
     decoded = [table.decode(x) for x in sorted(image)]
     inv = check_image_invariance(image, table)
@@ -438,7 +424,7 @@ def build_report(p: FreePoly, field: FieldSpec, image: set[int], method: str,
         conjugation_closed=inv["conjugation_closed"],
         scaling_closed=scaling_closed_under(image, table, 1),
         span_dim=dim, span_tag=tag, cone_counts=dict(sorted(counts.items())),
-        budget={"tuple_budget": tuple_budget, **spent}, elapsed=elapsed)
+        budget={"tuple_budget": tuple_budget, **spent})
     if len(image) <= elements_limit:
         rep.elements = [str(m2) for m2 in decoded]
     return rep
@@ -447,12 +433,10 @@ def build_report(p: FreePoly, field: FieldSpec, image: set[int], method: str,
 def enumerate_image(p: FreePoly, field: FieldSpec, method: str = "auto",
                     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
                     elements_limit: int = 100) -> ImageReport:
-    """Exact image of p over M_2(F_q), with structural bookkeeping."""
-    t0 = time.monotonic()
+    """Exact image of p over M_2(F_q), with structural bookkeeping; method
+    "auto" takes the fast path for multilinear p and naive otherwise."""
     image, method, spent = _image_and_method(p, field, method, tuple_budget)
-    elapsed = time.monotonic() - t0
-    return build_report(p, field, image, method, spent, elapsed,
-                        tuple_budget, elements_limit)
+    return build_report(p, field, image, method, spent, tuple_budget, elements_limit)
 
 
 _EXPECTED_SPAN = {
@@ -472,10 +456,8 @@ def cross_check(p: FreePoly, field: FieldSpec, verdict: str,
     some verdicts promise a nilpotent value over the base field.
     """
     table = get_table(field)
-    t0 = time.monotonic()
     image, method, spent = _image_and_method(p, field, "auto", tuple_budget)
-    rep = build_report(p, field, image, method, spent,
-                       time.monotonic() - t0, tuple_budget)
+    rep = build_report(p, field, image, method, spent, tuple_budget)
     out = {"verdict": verdict, "oracle": rep.to_json(), "checks": {}}
     checks = out["checks"]
     expected = _EXPECTED_SPAN.get(verdict)

@@ -12,8 +12,10 @@ from polimage.classify import (SpanAnomalyError, Verdict, all_unit_tuples,
                                unit_evaluations, NONDENSE_TEXT)
 from polimage.fields import FieldSpec, QQ
 from polimage.freealg import FreePoly, multilinearize, parse_poly, standard_poly
-from polimage.generic import eval_on_matrices
+from polimage.generic import eval_on_matrices, generic_eval
 from polimage.matalg import Mat2
+from polimage.oracle import (EnumerationBudgetError, cross_check, enumerate_image,
+                             fast_multilinear_image, naive_image)
 
 
 def test_parse_units():
@@ -239,3 +241,33 @@ def test_unit_evaluations_budget_refused_up_front():
     p = parse_poly("*".join(f"x{i}" for i in range(1, 12)), 11)
     with pytest.raises(ValueError, match="4194304 unit tuples exceed the budget 1048576"):
         unit_evaluations(p)
+
+
+CUBE, COMM, F2 = parse_poly("[x1,x2]^3", 2), parse_poly("[x1,x2]", 2), FieldSpec(2)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda b: classify_general(CUBE, search_budget=b), id="general-search"),
+    pytest.param(lambda b: classify_general(CUBE, term_budget=b), id="general-term"),
+    pytest.param(lambda b: classify_general(COMM, term_budget=b), id="general-multilinear"),
+    pytest.param(lambda b: classify_semihomogeneous(CUBE, (1, 1), search_budget=b),
+                 id="semihomogeneous-search"),
+    pytest.param(lambda b: classify_semihomogeneous(CUBE, (1, 1), term_budget=b),
+                 id="semihomogeneous-term"),
+    pytest.param(lambda b: generic_eval(CUBE, b), id="generic_eval"),
+    pytest.param(lambda b: naive_image(COMM, F2, b), id="naive_image"),
+    pytest.param(lambda b: fast_multilinear_image(COMM, F2, b), id="fast_multilinear_image"),
+    pytest.param(lambda b: enumerate_image(COMM, F2, tuple_budget=b), id="enumerate_image"),
+    pytest.param(lambda b: cross_check(COMM, F2, "sl2", b), id="cross_check"),
+])
+def test_negative_budgets_refused(call):
+    with pytest.raises(ValueError, match="must be at least 0, got -1"):
+        call(-1)
+
+
+def test_zero_budgets_allowed():
+    res = classify_general(CUBE, search_budget=0)
+    assert res.verdict == "trace_zero_undetermined"
+    assert res.budget_consumed["witness_tuples"] == 0
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_image(COMM, F2, tuple_budget=0)

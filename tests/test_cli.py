@@ -368,6 +368,22 @@ def test_corpus_mismatch_exit_4(monkeypatch):
     assert res.exit_code == 4
 
 
+def test_corpus_false_side_check_fails(monkeypatch):
+    # a bare false flag fails its entry, not only one under an "ok" key
+    import dataclasses
+    import polimage.corpus as corpus_mod
+    broken = dataclasses.replace(
+        corpus_mod.entry_by_name("coordinate"),
+        check=lambda p, result: {"probe_scaled_unipotent_absent": False})
+    assert corpus_mod.run_entry(broken)["ok"] is False
+    monkeypatch.setattr(corpus_mod, "ENTRIES",
+                        [broken if e.name == "coordinate" else e
+                         for e in corpus_mod.ENTRIES])
+    res = invoke(["corpus", "--only", "coordinate"])
+    assert res.exit_code == 4
+    assert payload(res)["mismatches"] == ["coordinate"]
+
+
 def test_pretty_flag():
     res = invoke(["cone", "0,0;0,0", "--pretty"])
     assert res.output.startswith("{\n")
